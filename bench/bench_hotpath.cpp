@@ -1,6 +1,6 @@
 // bench_hotpath: host-side hot-path profile of the native engine — the
 // batched compute_phase executor against the per-edge virtual-dispatch
-// fallback, and parallel against serial plan construction.
+// fallback, plus cold plan-build and plan-verifier timings.
 //
 // Part 1 (executor): for each kernel (fig1, euler, moldyn), build one
 // ExecutionPlan and run the same sweeps twice — once with
@@ -11,15 +11,12 @@
 // the two executors produce bit-identical reduction and node-read arrays
 // (the batch path performs the same FP operations in the same order).
 //
-// Part 2 (plan build): times build_execution_plan at build_threads = 1
-// (serial, the pre-batching behavior) and build_threads = 0 (one task
-// per hardware core). Each processor's reference gather + LightInspector
-// run is independent, so the build should scale near-linearly in P on a
-// multi-core host (on a single-core container both modes tie).
+// Part 2 (plan build): times the cold build_execution_plan with
+// verification off.
 //
-// Part 3 (plan verifier): times the unverified cold build, then the
-// budget-mode structural invariant pass (inspector/plan_verifier.hpp)
-// that PlanOptions::verify appends to it. The pass is budgeted at <5%
+// Part 3 (plan verifier): times the budget-mode structural invariant
+// pass (inspector/plan_verifier.hpp) that PlanOptions::verify appends to
+// the Part 2 build. The pass is budgeted at <5%
 // of cold plan-build time — that is what lets CI leave it on for every
 // Debug build. The pass must also come back clean on the built plan.
 //
@@ -40,13 +37,12 @@
 // record (BENCH_backend.json in the repo).
 //
 // Part 1c (lowering strategies): reruns the batched path once per
-// lowering strategy (phased rotation, privatized replicas, and the
-// atomic CAS scatter where the host supports it) on per-strategy plans
-// (the strategy is a plan knob — it forks the plan key). Privatized must
-// agree with phased bit-for-bit on the integer-valued fig1 kernel (exact
-// sums commute) and to 1e-9 relative tolerance on the FP kernels (the
-// two strategies legally differ in summation association); atomic is
-// tolerance-only by contract. In full mode the cost model's Auto pick
+// lowering strategy (phased rotation and privatized replicas) on
+// per-strategy plans (the strategy is a plan knob — it forks the plan
+// key). Privatized must agree with phased bit-for-bit on the
+// integer-valued fig1 kernel (exact sums commute) and to 1e-9 relative
+// tolerance on the FP kernels (the two strategies legally differ in
+// summation association). In full mode the cost model's Auto pick
 // must land within 10% of the best measured strategy (>= 0.9x) on every
 // bench mesh — the gate that keeps the model honest against the
 // hardware. --strategy-json=<path> appends the comparison as a JSONL
@@ -216,8 +212,8 @@ int run(const Options& opt) {
     popt.k = k;
     // Parts 1 and 1b profile (and bit-identity-gate) the phased hot
     // path; pin the strategy so EARTHRED_FORCE_STRATEGY (the CI
-    // strategy-matrix) cannot reroute them onto the tolerance-only
-    // atomic scatter. Part 1c measures the other strategies explicitly.
+    // strategy-matrix) cannot reroute them. Part 1c measures both
+    // strategies explicitly.
     popt.strategy = core::StrategyKind::Phased;
     const core::ExecutionPlan plan =
         core::build_execution_plan(*w.kernel, popt);
@@ -340,21 +336,17 @@ int run(const Options& opt) {
   // The strategy is a plan knob (it forks the plan key), so each strategy
   // gets its own plan build. Phased is the reference; privatized must
   // match it exactly on the integer fig1 kernel and to 1e-9 relative
-  // tolerance on the FP kernels; atomic (when the host has lock-free
-  // atomic_ref<double>) is tolerance-only by contract. The Auto pick is
+  // tolerance on the FP kernels. The Auto pick is
   // resolved through the same cost model the compiler pass and the
   // runtime use, and in full mode its measured rate must stay >= 0.9x of
   // the best measured strategy on every mesh.
-  const bool atomic_ok = core::strategy_supported(core::StrategyKind::Atomic);
-  std::vector<core::StrategyKind> strat_kinds = {
-      core::StrategyKind::Phased, core::StrategyKind::Privatized};
-  if (atomic_ok) strat_kinds.push_back(core::StrategyKind::Atomic);
+  const core::StrategyKind strat_kinds[2] = {core::StrategyKind::Phased,
+                                             core::StrategyKind::Privatized};
 
   Table st("lowering strategies: batched path per strategy (P=" +
-           std::to_string(procs) + ", k=" + std::to_string(k) +
-           ", atomic " + (atomic_ok ? "supported" : "unsupported") + ")");
-  st.set_header({"kernel", "phased Medges/s", "privatized", "atomic",
-                 "auto pick", "auto/best", "agree"});
+           std::to_string(procs) + ", k=" + std::to_string(k) + ")");
+  st.set_header({"kernel", "phased Medges/s", "privatized", "auto pick",
+                 "auto/best", "agree"});
   bool strategies_agree = true;
   double worst_auto_ratio = 1.0;
   std::vector<std::string> strategy_json;
@@ -366,9 +358,9 @@ int run(const Options& opt) {
     sopt.batch = true;
 
     core::NativeResult phased_res;
-    double rate[3] = {0.0, 0.0, 0.0};
+    double rate[2] = {0.0, 0.0};
     bool agree = true;
-    for (std::size_t i = 0; i < strat_kinds.size(); ++i) {
+    for (std::size_t i = 0; i < 2; ++i) {
       core::PlanOptions spopt;
       spopt.num_procs = procs;
       spopt.k = k;
@@ -382,10 +374,8 @@ int run(const Options& opt) {
         phased_res = std::move(res);
         continue;
       }
-      const bool exact_required =
-          w.exact_sums && strat_kinds[i] == core::StrategyKind::Privatized;
       const bool match =
-          exact_required
+          w.exact_sums
               ? same_arrays(res.reduction, phased_res.reduction) &&
                     same_arrays(res.node_read, phased_res.node_read)
               : near_arrays(res.reduction, phased_res.reduction, 1e-9) &&
@@ -398,7 +388,7 @@ int run(const Options& opt) {
         core::StrategyKind::Auto,
         core::strategy_inputs(w.kernel->shape(), procs, k));
     double best_rate = 0.0, auto_rate = 0.0;
-    for (std::size_t i = 0; i < strat_kinds.size(); ++i) {
+    for (std::size_t i = 0; i < 2; ++i) {
       best_rate = std::max(best_rate, rate[i]);
       if (strat_kinds[i] == auto_pick) auto_rate = rate[i];
     }
@@ -406,7 +396,6 @@ int run(const Options& opt) {
     worst_auto_ratio = std::min(worst_auto_ratio, auto_ratio);
 
     st.add_row({w.name, fmt_f(rate[0] / 1e6, 2), fmt_f(rate[1] / 1e6, 2),
-                atomic_ok ? fmt_f(rate[2] / 1e6, 2) : std::string("-"),
                 std::string(core::to_string(auto_pick)),
                 fmt_f(auto_ratio, 2) + "x", agree ? "yes" : "NO"});
 
@@ -416,7 +405,6 @@ int run(const Options& opt) {
         .field("exact_sums", w.exact_sums)
         .field("phased_edges_per_s", rate[0])
         .field("privatized_edges_per_s", rate[1])
-        .field("atomic_edges_per_s", atomic_ok ? rate[2] : 0.0)
         .field("auto_pick", std::string(core::to_string(auto_pick)))
         .field("auto_over_best", auto_ratio)
         .field("agree", agree);
@@ -500,57 +488,35 @@ int run(const Options& opt) {
               layout_identical ? "yes" : "NO"});
   lt.print(std::cout);
 
-  // ---- Part 2: serial vs parallel plan build --------------------------
+  // ---- Part 2: cold plan build ----------------------------------------
   const unsigned hw = support::hardware_threads();
   const Workload& build_wl = workloads[1];  // euler: the largest inspector
   core::PlanOptions popt;
   popt.num_procs = procs;
   popt.k = k;
-
-  const auto time_build = [&](std::uint32_t threads) {
-    popt.build_threads = threads;
-    double best = 0.0;
-    for (std::uint32_t r = 0; r < reps; ++r) {
-      const auto t0 = Clock::now();
-      const core::ExecutionPlan plan =
-          core::build_execution_plan(*build_wl.kernel, popt);
-      const double s = seconds_since(t0);
-      (void)plan;
-      if (r == 0 || s < best) best = s;
-    }
-    return best;
-  };
-  const double serial_s = time_build(1);
-  const double parallel_s = time_build(0);
-  const double build_speedup = parallel_s > 0 ? serial_s / parallel_s : 0.0;
-
-  Table bt("plan build: serial vs parallel (" + build_wl.name + ", P=" +
-           std::to_string(procs) + ", " + std::to_string(hw) +
-           " hardware threads)");
-  bt.set_header({"mode", "build ms", "speedup"});
-  bt.add_row({"serial (build_threads=1)", fmt_f(serial_s * 1e3, 3), "1.00x"});
-  bt.add_row({"parallel (build_threads=0)", fmt_f(parallel_s * 1e3, 3),
-              fmt_f(build_speedup, 2) + "x"});
-  bt.print(std::cout);
-
-  // ---- Part 3: plan-verifier overhead on a cold build -----------------
-  // Serial build (build_threads=1) so the verifier pass is measured
-  // against a deterministic baseline rather than a thread-pool race.
-  // PlanOptions::verify adds exactly one budget-mode verify_plan call to
-  // the build, so the overhead is that call's cost over the unverified
-  // build — timing the pass directly instead of differencing two noisy
-  // multi-millisecond builds keeps the gate stable on shared runners.
-  popt.build_threads = 1;
-  popt.verify = false;
-  double unverified_s = 0.0;
+  popt.verify = false;  // Part 3 times the verifier pass on its own
+  double build_s = 0.0;
   for (std::uint32_t r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
     const core::ExecutionPlan plan =
         core::build_execution_plan(*build_wl.kernel, popt);
     const double s = seconds_since(t0);
     (void)plan;
-    if (r == 0 || s < unverified_s) unverified_s = s;
+    if (r == 0 || s < build_s) build_s = s;
   }
+
+  Table bt("plan build: cold build, verify off (" + build_wl.name +
+           ", P=" + std::to_string(procs) + ", best of " +
+           std::to_string(reps) + ")");
+  bt.set_header({"mode", "build ms"});
+  bt.add_row({"serial", fmt_f(build_s * 1e3, 3)});
+  bt.print(std::cout);
+
+  // ---- Part 3: plan-verifier overhead on a cold build -----------------
+  // PlanOptions::verify adds exactly one budget-mode verify_plan call to
+  // the build, so the overhead is that call's cost over the Part 2
+  // build — timing the pass directly instead of differencing two noisy
+  // multi-millisecond builds keeps the gate stable on shared runners.
   const core::ExecutionPlan vplan =
       core::build_execution_plan(*build_wl.kernel, popt);
   inspector::PlanVerifyOptions vopt;
@@ -566,14 +532,13 @@ int run(const Options& opt) {
     verify_clean = verify_clean && vrep.ok();
     if (r == 0 || s < verify_s) verify_s = s;
   }
-  const double verify_overhead =
-      unverified_s > 0 ? verify_s / unverified_s : 0.0;
+  const double verify_overhead = build_s > 0 ? verify_s / build_s : 0.0;
 
   Table vt("plan verifier: cold-build overhead (" + build_wl.name +
            ", P=" + std::to_string(procs) + ", k=" + std::to_string(k) +
            ", best of " + std::to_string(reps) + ")");
   vt.set_header({"pass", "ms", "overhead"});
-  vt.add_row({"cold build (verify=off)", fmt_f(unverified_s * 1e3, 3), "-"});
+  vt.add_row({"cold build (verify=off)", fmt_f(build_s * 1e3, 3), "-"});
   vt.add_row({"verify pass (budget mode)", fmt_f(verify_s * 1e3, 3),
               fmt_f(verify_overhead * 100.0, 2) + "%"});
   vt.print(std::cout);
@@ -647,7 +612,6 @@ int run(const Options& opt) {
         .field("sweeps", static_cast<std::uint64_t>(sweeps))
         .field("reps", static_cast<std::uint64_t>(reps))
         .field("hardware_threads", static_cast<std::uint64_t>(hw))
-        .field("atomic_supported", atomic_ok)
         .raw_field("kernels", json_array(strategy_json))
         .field("agree", strategies_agree)
         .field("worst_auto_over_best", worst_auto_ratio);
@@ -712,10 +676,7 @@ int run(const Options& opt) {
         .field("reps", static_cast<std::uint64_t>(reps))
         .field("hardware_threads", static_cast<std::uint64_t>(hw))
         .raw_field("executors", json_array(exec_json))
-        .field("plan_build_serial_seconds", serial_s)
-        .field("plan_build_parallel_seconds", parallel_s)
-        .field("plan_build_speedup", build_speedup)
-        .field("verify_off_build_seconds", unverified_s)
+        .field("plan_build_serial_seconds", build_s)
         .field("verify_pass_seconds", verify_s)
         .field("verify_overhead_fraction", verify_overhead)
         .field("bit_identical", all_identical)

@@ -132,27 +132,24 @@ core::StrategyInputs loop_inputs(const std::vector<ChainInfo>& chains,
   in.num_edges = ctx.mesh.bound() ? ctx.mesh.num_edges : kDefaultEdges;
   in.num_procs = ctx.num_procs == 0 ? 1 : ctx.num_procs;
   in.k = ctx.k == 0 ? 1 : ctx.k;
-  in.fanin_cv = ctx.mesh.degree_cv;
 
   std::set<std::string> refs;
   std::set<std::string> arrays;
-  double fanin_sum = 0.0;
-  bool fp = false;
   for (const ChainInfo& c : chains) {
     refs.insert(c.indirections.begin(), c.indirections.end());
     arrays.insert(c.array);
-    fanin_sum += c.fanin;
-    fp = fp || c.elem == ElemType::Real;
   }
   in.num_refs = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(refs.size()));
   in.num_reduction_arrays = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(arrays.size()));
-  in.fanin_mean = chains.empty()
-                      ? 0.0
-                      : fanin_sum / static_cast<double>(chains.size());
-  in.fp_accumulators = fp;
   return in;
+}
+
+/// Scores come in StrategyKind order (Phased, Privatized), so a kind's
+/// score sits at its enum value minus one.
+std::size_t score_index(core::StrategyKind kind) {
+  return static_cast<std::size_t>(kind) - 1;
 }
 
 std::string chain_note(const ChainInfo& c) {
@@ -195,22 +192,6 @@ LoweringPlan select_strategies(const Program& program,
   LoweringPlan plan;
   plan.loops.reserve(program.loops.size());
 
-  // A forced strategy the host cannot execute is one error for the whole
-  // program (it is an environment fact, not a per-loop one).
-  bool forced_usable = true;
-  if (ctx.forced != core::StrategyKind::Auto &&
-      !core::strategy_supported(ctx.forced)) {
-    forced_usable = false;
-    const std::uint32_t line =
-        program.loops.empty() ? 1 : program.loops.front().line;
-    sink.error(line, 1, "E-STRATEGY-UNSUPPORTED",
-               strformat("strategy '%s' cannot execute on this host; "
-                         "falling back to auto selection for analysis",
-                         std::string(core::to_string(ctx.forced)).c_str()));
-  }
-  const core::StrategyKind forced =
-      forced_usable ? ctx.forced : core::StrategyKind::Auto;
-
   for (std::size_t i = 0; i < program.loops.size(); ++i) {
     const Loop& loop = program.loops[i];
     LoopStrategy out;
@@ -252,62 +233,39 @@ LoweringPlan select_strategies(const Program& program,
               ? support::host_cache_info().line_bytes
               : 64;
       bool fp = false;
-      for (const ChainInfo& c : out.chains)
+      double fanin_sum = 0.0;
+      for (const ChainInfo& c : out.chains) {
         fp = fp || c.elem == ElemType::Real;
+        fanin_sum += c.fanin;
+      }
       const double line_elems =
           static_cast<double>(line_bytes) / (fp ? 8.0 : 4.0);
-      out.est_line_reuse = in.fanin_mean * line_elems;
+      out.est_line_reuse =
+          fanin_sum / static_cast<double>(out.chains.size()) * line_elems;
     }
 
-    // The auto pick: cheapest eligible + supported score.
-    const core::StrategyCost* best = nullptr;
-    for (const core::StrategyCost& c : out.scores) {
-      if (!c.auto_eligible || !core::strategy_supported(c.strategy))
-        continue;
-      if (best == nullptr || c.cost_per_edge < best->cost_per_edge)
-        best = &c;
-    }
-    const core::StrategyKind chosen_auto =
-        best ? best->strategy : core::StrategyKind::Phased;
+    const core::StrategyKind chosen_auto = core::choose_strategy(in);
+    const core::StrategyCost& best = out.scores[score_index(chosen_auto)];
 
-    if (forced != core::StrategyKind::Auto) {
-      out.chosen = forced;
-      const core::StrategyCost& fc =
-          out.scores[static_cast<std::size_t>(forced) - 1];
+    if (ctx.forced != core::StrategyKind::Auto) {
+      out.chosen = ctx.forced;
+      const core::StrategyCost& fc = out.scores[score_index(ctx.forced)];
       out.rationale = strformat(
           "forced --strategy=%s (%.2f/edge; auto would pick %s at "
           "%.2f/edge)",
-          std::string(core::to_string(forced)).c_str(), fc.cost_per_edge,
+          std::string(core::to_string(ctx.forced)).c_str(), fc.cost_per_edge,
           std::string(core::to_string(chosen_auto)).c_str(),
-          best ? best->cost_per_edge : 0.0);
-      if (forced == core::StrategyKind::Atomic && in.fp_accumulators)
-        sink.warning(loop.line, loop.column, "W-STRATEGY-ATOMIC-FP",
-                     "forced atomic strategy reorders real-typed "
-                     "accumulations across threads; results are "
-                     "tolerance-reproducible only and excluded from "
-                     "bit-identity gates");
+          best.cost_per_edge);
     } else {
       out.chosen = chosen_auto;
-      // Name the runner-up so the choice is a comparison, not a verdict.
-      const core::StrategyCost* next = nullptr;
-      for (const core::StrategyCost& c : out.scores) {
-        if (c.strategy == out.chosen || !c.auto_eligible ||
-            !core::strategy_supported(c.strategy))
-          continue;
-        if (next == nullptr || c.cost_per_edge < next->cost_per_edge)
-          next = &c;
-      }
-      if (best && next)
-        out.rationale = strformat(
-            "auto: %s wins at %.2f/edge vs %s at %.2f/edge",
-            std::string(core::to_string(out.chosen)).c_str(),
-            best->cost_per_edge,
-            std::string(core::to_string(next->strategy)).c_str(),
-            next->cost_per_edge);
-      else
-        out.rationale = strformat(
-            "auto: %s is the only eligible strategy",
-            std::string(core::to_string(out.chosen)).c_str());
+      // Name the runner-up (the other of the two scores) so the choice is
+      // a comparison, not a verdict.
+      const core::StrategyCost& next = out.scores[1 - score_index(out.chosen)];
+      out.rationale = strformat(
+          "auto: %s wins at %.2f/edge vs %s at %.2f/edge",
+          std::string(core::to_string(out.chosen)).c_str(), best.cost_per_edge,
+          std::string(core::to_string(next.strategy)).c_str(),
+          next.cost_per_edge);
     }
 
     if (ctx.explain) {
@@ -316,10 +274,9 @@ LoweringPlan select_strategies(const Program& program,
                   chain_note(c));
       for (const core::StrategyCost& c : out.scores)
         sink.note(loop.line, loop.column, "I-STRATEGY-COST",
-                  strformat("%s %.2f/edge: %s%s",
+                  strformat("%s %.2f/edge: %s",
                             std::string(core::to_string(c.strategy)).c_str(),
-                            c.cost_per_edge, c.rationale.c_str(),
-                            c.auto_eligible ? "" : " [opt-in]"));
+                            c.cost_per_edge, c.rationale.c_str()));
       sink.note(loop.line, loop.column, "I-STRATEGY-CHOICE",
                 strformat("lowering as %s: %s",
                           std::string(core::to_string(out.chosen)).c_str(),
@@ -353,10 +310,9 @@ std::string LoweringPlan::render() const {
     for (const ChainInfo& c : ls.chains)
       out += "  " + chain_note(c) + "\n";
     for (const core::StrategyCost& c : ls.scores)
-      out += strformat("  %-10s %8.2f/edge  %s%s\n",
+      out += strformat("  %-10s %8.2f/edge  %s\n",
                        std::string(core::to_string(c.strategy)).c_str(),
-                       c.cost_per_edge, c.rationale.c_str(),
-                       c.auto_eligible ? "" : "  [opt-in]");
+                       c.cost_per_edge, c.rationale.c_str());
   }
   return out;
 }

@@ -21,7 +21,6 @@
 #include "inspector/rotation.hpp"
 #include "mesh/mesh.hpp"
 #include "support/check.hpp"
-#include "support/cpu_features.hpp"
 
 #if defined(__linux__) && defined(_GNU_SOURCE)
 #include <pthread.h>
@@ -60,51 +59,6 @@ void pin_current_thread(std::uint32_t worker) {
 #else
   (void)worker;
 #endif
-}
-
-/// Below this many edges a parallel plan build loses to serial: thread
-/// spawn/join plus cold per-worker caches outweigh the inspector work, so
-/// run_per_proc quietly degrades to the serial loop (bench_hotpath Part 2
-/// gates build_threads never losing to serial).
-constexpr std::uint64_t kParallelBuildMinEdges = 1u << 18;
-
-/// Runs fn(p) for every processor 0..P-1 on `build_threads` workers
-/// (1 = serial, 0 = one per affinity-visible core), rethrowing the first
-/// worker exception. Shared by the cold build and the incremental patch.
-/// `work_items` is the total edge count the workers will chew through;
-/// small builds run serial regardless of build_threads (see above).
-template <typename Fn>
-void run_per_proc(std::uint32_t P, std::uint32_t build_threads,
-                  std::uint64_t work_items, const Fn& fn) {
-  std::uint32_t workers =
-      build_threads == 0 ? support::hardware_threads() : build_threads;
-  workers = std::min(workers, P);
-  if (work_items < kParallelBuildMinEdges) workers = 1;
-  if (workers <= 1) {
-    for (std::uint32_t p = 0; p < P; ++p) fn(p);
-    return;
-  }
-  std::atomic<std::uint32_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::uint32_t p = next.fetch_add(1, std::memory_order_relaxed);
-        if (p >= P) return;
-        try {
-          fn(p);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 /// Budget-mode structural verification shared by the cold build and the
@@ -168,9 +122,9 @@ std::vector<std::uint32_t> portion_preserving_perm(
 /// unchanged by construction. The chains are keyed on true (renumbered)
 /// element ids, not the redirected slots: the phased executor would stay
 /// bit-identical either way (one writer per buffer slot, folded in slot
-/// order), but the privatized and atomic executors accumulate straight
-/// into element arrays in edge order, and two iterations can share an
-/// element while holding distinct buffer slots. `last_iter`/`last_ref`
+/// order), but the privatized executor accumulates straight into element
+/// arrays in edge order, and two iterations can share an element while
+/// holding distinct buffer slots. `last_iter`/`last_ref`
 /// are caller-owned scratch sized num_nodes and filled with kNoIter;
 /// they are restored before returning so phases can share them.
 void reorder_phase_target_stable(const PhasedKernel& kernel,
@@ -296,11 +250,6 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
   const KernelShape shape = kernel.shape();
   ER_EXPECTS(opt.num_procs >= 1);
   ER_EXPECTS(opt.k >= 1);
-  // Fail a forced strategy the host cannot run at build time (the same
-  // E-STRATEGY-UNSUPPORTED the service's admission control reports)
-  // instead of on the first run of the cached plan.
-  (void)resolve_strategy(opt.strategy,
-                         strategy_inputs(shape, opt.num_procs, opt.k));
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint32_t P = opt.num_procs;
@@ -335,14 +284,11 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
       shape.num_edges, P, opt.distribution, opt.block_cyclic_size);
   plan.insp.resize(P);
 
-  // Each processor's reference gather + inspector run is independent and
-  // deterministic, so any worker may build any p and the plan comes out
-  // byte-identical to a serial build (test_batch_equivalence asserts it).
-  // Under a layout the references are gathered *through the permutation*
-  // — the plan is exactly what a fresh build against the renumbered
-  // kernel clone would produce — and each finished phase is reordered
-  // target-stable (step 2).
-  const auto build_one = [&](std::uint32_t p) {
+  // One reference gather + inspector run per processor. Under a layout
+  // the references are gathered *through the permutation* — the plan is
+  // exactly what a fresh build against the renumbered kernel clone would
+  // produce — and each finished phase is reordered target-stable (step 2).
+  for (std::uint32_t p = 0; p < P; ++p) {
     inspector::IterationRefs refs;
     refs.global_iter = std::move(owned_iters[p]);
     refs.refs.resize(shape.num_refs);
@@ -365,9 +311,7 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
         reorder_phase_target_stable(kernel, perm, ph, shape.num_refs,
                                     last_iter, last_ref);
     }
-  };
-
-  run_per_proc(P, opt.build_threads, shape.num_edges, build_one);
+  }
 
   // Step 3: cache-blocked tile size for the batched loops; 0 (untiled)
   // whenever the layout is None so the default hot path is untouched.
@@ -457,18 +401,16 @@ ExecutionPlan patch_execution_plan(
     std::sort(changes.begin(), changes.end(),
               [](const auto& a, const auto& b) { return a.local < b.local; });
 
-  const auto patch_one = [&](std::uint32_t p) {
-    if (per_proc[p].empty()) {
-      // No owned iteration changed: the base result is still exact.
-      // U32Buf copies share adopted views, so this is cheap for loaded
-      // bases and one linear copy for built ones.
-      plan.insp[p] = previous.insp[p];
-      return;
-    }
-    plan.insp[p] = inspector::update_light_inspector(
-        plan.sched, p, previous.insp[p], per_proc[p], opt.inspector);
-  };
-  run_per_proc(P, opt.build_threads, changed_sorted.size(), patch_one);
+  for (std::uint32_t p = 0; p < P; ++p) {
+    // No owned iteration changed: the base result is still exact. U32Buf
+    // copies share adopted views, so this is cheap for loaded bases and
+    // one linear copy for built ones.
+    plan.insp[p] = per_proc[p].empty()
+                       ? previous.insp[p]
+                       : inspector::update_light_inspector(
+                             plan.sched, p, previous.insp[p], per_proc[p],
+                             opt.inspector);
+  }
 
   plan.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -555,6 +497,115 @@ CostTags make_cost_tags(std::uint32_t RA, std::uint32_t NA) {
   return tags;
 }
 
+/// The P worker threads of one native run, shared by both executors.
+/// run() sizes the per-processor state (init), spawns and pins one thread
+/// per processor, runs the executor's per-sweep loop (body) on each, joins
+/// them and returns the wall seconds of the threaded section. Under
+/// first-touch, init(p) runs on worker p itself so its pages land on that
+/// worker's NUMA node, and no worker starts its loop before every init is
+/// done; otherwise the caller runs every init before the clock starts.
+///
+/// Cooperative stop: one flag is polled by every staging wait and checked
+/// after every team barrier. A wait that outlives stall_timeout, or a
+/// worker that throws, raises it, so the other workers unwind instead of
+/// blocking forever. A worker leaving its loop — finished, stopped or
+/// throwing — drops out of the barrier so the rest never wait on it.
+/// run() then rethrows the first worker exception, or reports the stall
+/// as a check_error naming the starved step.
+class WorkerTeam {
+ public:
+  WorkerTeam(std::uint32_t num_workers, const SweepOptions& opt)
+      : num_workers_(num_workers),
+        opt_(opt),
+        barrier_(static_cast<std::ptrdiff_t>(num_workers)) {}
+
+  /// Acquires a staging semaphore. Returns false when the team is
+  /// stopping — the caller must return from its loop. `describe` builds
+  /// the stall diagnostic and is only called when this wait is the one
+  /// that times out, so a satisfied wait costs no allocation.
+  template <typename Describe>
+  bool wait(std::binary_semaphore& sem, Describe&& describe) {
+    if (sem.try_acquire()) return true;
+    const auto start = std::chrono::steady_clock::now();
+    while (!sem.try_acquire_for(std::chrono::milliseconds(10))) {
+      if (stopping()) return false;
+      const std::chrono::duration<double> waited =
+          std::chrono::steady_clock::now() - start;
+      if (opt_.stall_timeout > 0.0 && waited.count() >= opt_.stall_timeout) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (!stop_.exchange(true)) stall_what_ = describe();
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Team barrier. Returns false when the team is stopping — the caller
+  /// must return from its loop.
+  bool sync() {
+    barrier_.arrive_and_wait();
+    return !stopping();
+  }
+
+  template <typename Init, typename Body>
+  double run(const Init& init, const Body& body) {
+    const bool first_touch = opt_.affinity.first_touch;
+    if (!first_touch)
+      for (std::uint32_t p = 0; p < num_workers_; ++p) init(p);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
+    threads.reserve(num_workers_);
+    for (std::uint32_t p = 0; p < num_workers_; ++p) {
+      try {
+        threads.emplace_back([&, p] {
+          try {
+            if (opt_.affinity.pin_threads) pin_current_thread(p);
+            if (first_touch) init(p);
+            if (!first_touch || sync()) body(p);
+          } catch (...) {
+            fail(std::current_exception());
+          }
+          barrier_.arrive_and_drop();
+        });
+      } catch (...) {
+        // Worker p could not be spawned: stop the team and drop the
+        // missing workers from the barrier so nobody waits for them.
+        fail(std::current_exception());
+        for (std::uint32_t q = p; q < num_workers_; ++q)
+          barrier_.arrive_and_drop();
+        break;
+      }
+    }
+    for (std::thread& t : threads) t.join();
+    if (error_) std::rethrow_exception(error_);
+    if (stopping())
+      throw check_error("native engine stalled after " +
+                        std::to_string(opt_.stall_timeout) +
+                        "s: " + stall_what_);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  }
+
+ private:
+  bool stopping() const { return stop_.load(std::memory_order_relaxed); }
+
+  /// Records the first failure and stops the team.
+  void fail(std::exception_ptr error) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::move(error);
+    stop_.store(true);
+  }
+
+  const std::uint32_t num_workers_;
+  const SweepOptions& opt_;
+  std::atomic<bool> stop_{false};
+  std::mutex mutex_;  ///< guards error_ and stall_what_
+  std::exception_ptr error_;
+  std::string stall_what_;
+  std::barrier<> barrier_;
+};
+
 /// The paper's executor: portions of the reduction arrays rotate through
 /// the processors over k*P phases with bounded-buffer staging (see the
 /// header comment). Deterministic; bit-identical between the batched and
@@ -569,13 +620,12 @@ NativeResult run_phased(const PhasedKernel& kernel,
   const std::uint32_t kp = P * k;
   const std::uint32_t RA = shape.num_reduction_arrays;
   const std::uint32_t NA = shape.num_node_read_arrays;
-  const bool first_touch = opt.affinity.first_touch;
 
   // ---- per-run mutable state (the plan itself stays untouched) ----------
   // The StagedSlot objects (semaphores) are always created here so the
   // staging topology exists before any worker starts; the *data* vectors
-  // are sized either here or — under first-touch — on the worker that owns
-  // them, so their pages land on that worker's NUMA node.
+  // are sized by init_proc_state, on the worker that owns them under
+  // first-touch.
   std::vector<ProcArrays> arrays(P);
   // rotation[q][ph]: the portion arriving for q's phase ph.
   std::vector<std::vector<std::unique_ptr<StagedSlot>>> rotation(P);
@@ -592,8 +642,7 @@ NativeResult run_phased(const PhasedKernel& kernel,
     }
   }
 
-  /// Sizes processor p's arrays and *receiving* staging buffers. Run on
-  /// the main thread normally, or on worker p itself under first-touch.
+  /// Sizes processor p's arrays and *receiving* staging buffers.
   const auto init_proc_state = [&](std::uint32_t p) {
     arrays[p].reduction.assign(
         RA, std::vector<double>(plan.insp[p].local_array_size, 0.0));
@@ -613,8 +662,6 @@ NativeResult run_phased(const PhasedKernel& kernel,
           0.0);
     }
   };
-  if (!first_touch)
-    for (std::uint32_t p = 0; p < P; ++p) init_proc_state(p);
 
   const CostTags tags = make_cost_tags(RA, NA);
 
@@ -623,220 +670,160 @@ NativeResult run_phased(const PhasedKernel& kernel,
   result.node_read.assign(NA, std::vector<double>(shape.num_nodes, 0.0));
 
   const std::uint32_t sweeps = opt.sweeps;
-  const auto t0 = std::chrono::steady_clock::now();
+  WorkerTeam team(P, opt);
 
-  // Stall watchdog: every semaphore wait is bounded by opt.stall_timeout
-  // (0 = unbounded). The first wait to time out records a description and
-  // raises `stalled`; every other wait polls the flag and bails, so all
-  // threads unwind, join() returns, and the failure surfaces as a
-  // check_error instead of a hang. `describe` is a callable producing the
-  // diagnostic: the fast path (semaphore available, or no timeout) never
-  // materializes the string, so waiting costs zero allocations.
-  std::atomic<bool> stalled{false};
-  std::mutex stall_mutex;
-  std::string stall_what;
-  const auto wait_or_stall = [&](std::binary_semaphore& sem,
-                                 auto&& describe) -> bool {
-    if (opt.stall_timeout <= 0.0) {
-      sem.acquire();
-      return true;
-    }
-    if (sem.try_acquire()) return true;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(opt.stall_timeout));
-    while (!sem.try_acquire_for(std::chrono::milliseconds(10))) {
-      if (stalled.load(std::memory_order_relaxed)) return false;
-      if (std::chrono::steady_clock::now() >= deadline) {
-        if (!stalled.exchange(true)) {
-          const std::lock_guard<std::mutex> lock(stall_mutex);
-          stall_what = describe();
-        }
-        return false;
-      }
-    }
-    return true;
-  };
+  const auto worker = [&](std::uint32_t p) {
+    earth::FiberContext ctx = earth::FiberContext::detached(p);
+    const InspectorResult& insp = plan.insp[p];
+    ProcArrays& ps = arrays[p];
+    std::vector<std::uint32_t> redirected(shape.num_refs);
 
-  // Under first-touch, every worker sizes its own state before any worker
-  // may start touching a neighbor's staging buffers.
-  std::barrier init_barrier(static_cast<std::ptrdiff_t>(P));
+    for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
+      for (std::uint32_t ph = 0; ph < kp; ++ph) {
+        const std::uint32_t pid = sched.owned_portion(p, ph);
+        const std::uint32_t begin = sched.portion_begin(pid);
+        const std::uint32_t end = sched.portion_end(pid);
+        const std::uint32_t psize = end - begin;
 
-  std::vector<std::thread> threads;
-  threads.reserve(P);
-  for (std::uint32_t p = 0; p < P; ++p) {
-    threads.emplace_back([&, p] {
-      if (opt.affinity.pin_threads) pin_current_thread(p);
-      if (first_touch) {
-        init_proc_state(p);
-        init_barrier.arrive_and_wait();
-      }
-      earth::FiberContext ctx = earth::FiberContext::detached(p);
-      const InspectorResult& insp = plan.insp[p];
-      ProcArrays& ps = arrays[p];
-      std::vector<std::uint32_t> redirected(shape.num_refs);
-
-      for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
-        for (std::uint32_t ph = 0; ph < kp; ++ph) {
-          const std::uint32_t pid = sched.owned_portion(p, ph);
-          const std::uint32_t begin = sched.portion_begin(pid);
-          const std::uint32_t end = sched.portion_end(pid);
-          const std::uint32_t psize = end - begin;
-
-          // Sweep boundary: apply the staged node-read refreshes.
-          if (ph == 0 && sweep > 0 && NA > 0) {
-            for (std::uint32_t opid = 0; opid < sched.num_portions();
-                 ++opid) {
-              StagedSlot* slot = bcast[p][opid].get();
-              if (!slot) continue;  // finalized locally
-              if (!wait_or_stall(slot->full, [&] {
-                    return "proc " + std::to_string(p) +
-                           " stuck waiting for the node-read broadcast "
-                           "of portion " +
-                           std::to_string(opid) + " at sweep " +
-                           std::to_string(sweep);
-                  }))
-                return;
-              const std::uint32_t ob = sched.portion_begin(opid);
-              const std::uint32_t osz = sched.portion_size(opid);
-              for (std::uint32_t a = 0; a < NA; ++a)
-                std::copy(slot->data.begin() + a * osz,
-                          slot->data.begin() + (a + 1) * osz,
-                          ps.node_read[a].begin() + ob);
-              slot->free.release();
-            }
-          }
-
-          // Portion arrival (the first k phases of sweep 0 start local).
-          if (!(sweep == 0 && ph < k)) {
-            StagedSlot* slot = rotation[p][ph].get();
-            if (!wait_or_stall(slot->full, [&] {
+        // Sweep boundary: apply the staged node-read refreshes.
+        if (ph == 0 && sweep > 0 && NA > 0) {
+          for (std::uint32_t opid = 0; opid < sched.num_portions(); ++opid) {
+            StagedSlot* slot = bcast[p][opid].get();
+            if (!slot) continue;  // finalized locally
+            if (!team.wait(slot->full, [&] {
                   return "proc " + std::to_string(p) +
-                         " stuck waiting for portion " +
-                         std::to_string(pid) + " to arrive for phase " +
-                         std::to_string(ph) + " at sweep " +
-                         std::to_string(sweep) + " (lost forward?)";
-                }))
-              return;
-            for (std::uint32_t a = 0; a < RA; ++a)
-              std::copy(slot->data.begin() + a * psize,
-                        slot->data.begin() + (a + 1) * psize,
-                        ps.reduction[a].begin() + begin);
-            slot->free.release();
-          }
-
-          // Main loop: one batched compute_phase call streaming the
-          // flattened indirection block, or the per-edge fallback (a
-          // virtual call plus a `redirected` scatter copy per edge).
-          const inspector::PhaseSchedule& phase = insp.phases[ph];
-          const std::size_t iters = phase.iter_global.size();
-          if (opt.batch &&
-              phase.indir_flat.size() == iters * shape.num_refs) {
-            PhaseView view;
-            view.iter_global = phase.iter_global;
-            view.iter_local = phase.iter_local;
-            view.indir = phase.indir_flat;
-            view.num_iters = iters;
-            view.num_refs = shape.num_refs;
-            view.backend = backend;
-            view.tile_iters = plan.tile_iters;
-            kernel.compute_phase(ctx, tags, view, ps);
-          } else {
-            for (std::size_t j = 0; j < iters; ++j) {
-              for (std::uint32_t r = 0; r < shape.num_refs; ++r)
-                redirected[r] = phase.indir[r][j];
-              kernel.compute_edge(ctx, tags, phase.iter_global[j],
-                                  phase.iter_local[j], redirected, ps);
-            }
-          }
-          // Second loop.
-          for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
-            for (std::uint32_t a = 0; a < RA; ++a) {
-              ps.reduction[a][phase.copy_dst[j]] +=
-                  ps.reduction[a][phase.copy_src[j]];
-              ps.reduction[a][phase.copy_src[j]] = 0.0;
-            }
-          }
-
-          // Portion complete: node update, result capture, zero, bcast.
-          if (sched.last_owning_phase(pid) == ph) {
-            kernel.update_nodes(ctx, tags, begin, end, begin, ps);
-            if (sweep + 1 == sweeps) {
-              for (std::uint32_t a = 0; a < RA; ++a)
-                std::copy(ps.reduction[a].begin() + begin,
-                          ps.reduction[a].begin() + end,
-                          result.reduction[a].begin() + begin);
-              for (std::uint32_t a = 0; a < NA; ++a)
-                std::copy(ps.node_read[a].begin() + begin,
-                          ps.node_read[a].begin() + end,
-                          result.node_read[a].begin() + begin);
-            }
-            for (std::uint32_t a = 0; a < RA; ++a)
-              std::fill(ps.reduction[a].begin() + begin,
-                        ps.reduction[a].begin() + end, 0.0);
-            if (NA > 0 && sweep + 1 < sweeps) {
-              for (std::uint32_t q = 0; q < P; ++q) {
-                if (q == p) continue;
-                StagedSlot* slot = bcast[q][pid].get();
-                if (!wait_or_stall(slot->free, [&] {
-                      return "proc " + std::to_string(p) +
-                             " stuck broadcasting portion " +
-                             std::to_string(pid) + " to proc " +
-                             std::to_string(q) + " at sweep " +
-                             std::to_string(sweep);
-                    }))
-                  return;
-                for (std::uint32_t a = 0; a < NA; ++a)
-                  std::copy(ps.node_read[a].begin() + begin,
-                            ps.node_read[a].begin() + end,
-                            slot->data.begin() + a * psize);
-                slot->full.release();
-              }
-            }
-          }
-
-          // Forward the portion around the ring.
-          std::uint32_t tph = ph + k;
-          std::uint32_t tsweep = sweep + (tph >= kp ? 1 : 0);
-          tph %= kp;
-          if (tsweep < sweeps) {
-            if (opt.lose_forward.enabled && opt.lose_forward.proc == p &&
-                opt.lose_forward.phase == ph &&
-                opt.lose_forward.sweep == sweep)
-              continue;  // fault hook: this forward silently vanishes
-            const std::uint32_t q = sched.next_owner(p);
-            StagedSlot* slot = rotation[q][tph].get();
-            if (!wait_or_stall(slot->free, [&] {
-                  return "proc " + std::to_string(p) +
-                         " stuck forwarding portion " +
-                         std::to_string(pid) + " to proc " +
-                         std::to_string(q) + " phase " +
-                         std::to_string(tph) + " at sweep " +
+                         " stuck waiting for the node-read broadcast "
+                         "of portion " +
+                         std::to_string(opid) + " at sweep " +
                          std::to_string(sweep);
                 }))
               return;
+            const std::uint32_t ob = sched.portion_begin(opid);
+            const std::uint32_t osz = sched.portion_size(opid);
+            for (std::uint32_t a = 0; a < NA; ++a)
+              std::copy(slot->data.begin() + a * osz,
+                        slot->data.begin() + (a + 1) * osz,
+                        ps.node_read[a].begin() + ob);
+            slot->free.release();
+          }
+        }
+
+        // Portion arrival (the first k phases of sweep 0 start local).
+        if (!(sweep == 0 && ph < k)) {
+          StagedSlot* slot = rotation[p][ph].get();
+          if (!team.wait(slot->full, [&] {
+                return "proc " + std::to_string(p) +
+                       " stuck waiting for portion " + std::to_string(pid) +
+                       " to arrive for phase " + std::to_string(ph) +
+                       " at sweep " + std::to_string(sweep) +
+                       " (lost forward?)";
+              }))
+            return;
+          for (std::uint32_t a = 0; a < RA; ++a)
+            std::copy(slot->data.begin() + a * psize,
+                      slot->data.begin() + (a + 1) * psize,
+                      ps.reduction[a].begin() + begin);
+          slot->free.release();
+        }
+
+        // Main loop: one batched compute_phase call streaming the
+        // flattened indirection block, or the per-edge fallback (a
+        // virtual call plus a `redirected` scatter copy per edge).
+        const inspector::PhaseSchedule& phase = insp.phases[ph];
+        const std::size_t iters = phase.iter_global.size();
+        if (opt.batch && phase.indir_flat.size() == iters * shape.num_refs) {
+          PhaseView view;
+          view.iter_global = phase.iter_global;
+          view.iter_local = phase.iter_local;
+          view.indir = phase.indir_flat;
+          view.num_iters = iters;
+          view.num_refs = shape.num_refs;
+          view.backend = backend;
+          view.tile_iters = plan.tile_iters;
+          kernel.compute_phase(ctx, tags, view, ps);
+        } else {
+          for (std::size_t j = 0; j < iters; ++j) {
+            for (std::uint32_t r = 0; r < shape.num_refs; ++r)
+              redirected[r] = phase.indir[r][j];
+            kernel.compute_edge(ctx, tags, phase.iter_global[j],
+                                phase.iter_local[j], redirected, ps);
+          }
+        }
+        // Second loop.
+        for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
+          for (std::uint32_t a = 0; a < RA; ++a) {
+            ps.reduction[a][phase.copy_dst[j]] +=
+                ps.reduction[a][phase.copy_src[j]];
+            ps.reduction[a][phase.copy_src[j]] = 0.0;
+          }
+        }
+
+        // Portion complete: node update, result capture, zero, bcast.
+        if (sched.last_owning_phase(pid) == ph) {
+          kernel.update_nodes(ctx, tags, begin, end, begin, ps);
+          if (sweep + 1 == sweeps) {
             for (std::uint32_t a = 0; a < RA; ++a)
               std::copy(ps.reduction[a].begin() + begin,
                         ps.reduction[a].begin() + end,
-                        slot->data.begin() + a * psize);
-            slot->full.release();
+                        result.reduction[a].begin() + begin);
+            for (std::uint32_t a = 0; a < NA; ++a)
+              std::copy(ps.node_read[a].begin() + begin,
+                        ps.node_read[a].begin() + end,
+                        result.node_read[a].begin() + begin);
+          }
+          for (std::uint32_t a = 0; a < RA; ++a)
+            std::fill(ps.reduction[a].begin() + begin,
+                      ps.reduction[a].begin() + end, 0.0);
+          if (NA > 0 && sweep + 1 < sweeps) {
+            for (std::uint32_t q = 0; q < P; ++q) {
+              if (q == p) continue;
+              StagedSlot* slot = bcast[q][pid].get();
+              if (!team.wait(slot->free, [&] {
+                    return "proc " + std::to_string(p) +
+                           " stuck broadcasting portion " +
+                           std::to_string(pid) + " to proc " +
+                           std::to_string(q) + " at sweep " +
+                           std::to_string(sweep);
+                  }))
+                return;
+              for (std::uint32_t a = 0; a < NA; ++a)
+                std::copy(ps.node_read[a].begin() + begin,
+                          ps.node_read[a].begin() + end,
+                          slot->data.begin() + a * psize);
+              slot->full.release();
+            }
           }
         }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  if (stalled.load()) {
-    const std::lock_guard<std::mutex> lock(stall_mutex);
-    throw check_error("native engine stalled after " +
-                      std::to_string(opt.stall_timeout) + "s: " +
-                      stall_what);
-  }
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+        // Forward the portion around the ring.
+        std::uint32_t tph = ph + k;
+        std::uint32_t tsweep = sweep + (tph >= kp ? 1 : 0);
+        tph %= kp;
+        if (tsweep < sweeps) {
+          if (opt.lose_forward.enabled && opt.lose_forward.proc == p &&
+              opt.lose_forward.phase == ph && opt.lose_forward.sweep == sweep)
+            continue;  // fault hook: this forward silently vanishes
+          const std::uint32_t q = sched.next_owner(p);
+          StagedSlot* slot = rotation[q][tph].get();
+          if (!team.wait(slot->free, [&] {
+                return "proc " + std::to_string(p) +
+                       " stuck forwarding portion " + std::to_string(pid) +
+                       " to proc " + std::to_string(q) + " phase " +
+                       std::to_string(tph) + " at sweep " +
+                       std::to_string(sweep);
+              }))
+            return;
+          for (std::uint32_t a = 0; a < RA; ++a)
+            std::copy(ps.reduction[a].begin() + begin,
+                      ps.reduction[a].begin() + end,
+                      slot->data.begin() + a * psize);
+          slot->full.release();
+        }
+      }
+    }
+  };
+
+  result.wall_seconds = team.run(init_proc_state, worker);
   result.backend = opt.batch ? backend : BackendKind::Scalar;
   return result;
 }
@@ -860,7 +847,6 @@ NativeResult run_privatized(const PhasedKernel& kernel,
   const std::uint32_t NA = shape.num_node_read_arrays;
   const std::uint32_t N = shape.num_nodes;
   const std::uint32_t R = shape.num_refs;
-  const bool first_touch = opt.affinity.first_touch;
 
   // The shared arrays the fold writes and update_nodes reads/writes.
   ProcArrays merged;
@@ -891,207 +877,81 @@ NativeResult run_privatized(const PhasedKernel& kernel,
               kernel.ref(r, phase.iter_global[j]);
     }
   };
-  if (!first_touch)
-    for (std::uint32_t p = 0; p < P; ++p) init_proc_state(p);
 
   const CostTags tags = make_cost_tags(RA, NA);
-  NativeResult result;
   const std::uint32_t sweeps = opt.sweeps;
-  std::barrier sync(static_cast<std::ptrdiff_t>(P));
+  WorkerTeam team(P, opt);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(P);
-  for (std::uint32_t p = 0; p < P; ++p) {
-    threads.emplace_back([&, p] {
-      if (opt.affinity.pin_threads) pin_current_thread(p);
-      if (first_touch) {
-        init_proc_state(p);
-        sync.arrive_and_wait();
-      }
-      earth::FiberContext ctx = earth::FiberContext::detached(p);
-      ProcArrays& ps = priv[p];
-      std::vector<std::uint32_t> redirected(R);
-      // This worker's node range: it folds, updates and publishes
-      // exactly these elements.
-      const std::uint32_t lo = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * p / P);
-      const std::uint32_t hi = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * (p + 1) / P);
+  const auto worker = [&](std::uint32_t p) {
+    earth::FiberContext ctx = earth::FiberContext::detached(p);
+    ProcArrays& ps = priv[p];
+    std::vector<std::uint32_t> redirected(R);
+    // This worker's node range: it folds, updates and publishes exactly
+    // these elements.
+    const std::uint32_t lo =
+        static_cast<std::uint32_t>(static_cast<std::uint64_t>(N) * p / P);
+    const std::uint32_t hi = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(N) * (p + 1) / P);
 
-      for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
-        for (std::uint32_t ph = 0; ph < kp; ++ph) {
-          const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
-          const std::size_t iters = phase.iter_global.size();
-          const std::vector<std::uint32_t>& flat = direct[p][ph];
-          if (opt.batch) {
-            PhaseView view;
-            view.iter_global = phase.iter_global;
-            view.iter_local = phase.iter_local;
-            view.indir = flat;
-            view.num_iters = iters;
-            view.num_refs = R;
-            view.backend = backend;
-            view.tile_iters = plan.tile_iters;
-            kernel.compute_phase(ctx, tags, view, ps);
-          } else {
-            for (std::size_t j = 0; j < iters; ++j) {
-              for (std::uint32_t r = 0; r < R; ++r)
-                redirected[r] = flat[static_cast<std::size_t>(r) * iters + j];
-              kernel.compute_edge(ctx, tags, phase.iter_global[j],
-                                  phase.iter_local[j], redirected, ps);
-            }
+    for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
+      for (std::uint32_t ph = 0; ph < kp; ++ph) {
+        const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
+        const std::size_t iters = phase.iter_global.size();
+        const std::vector<std::uint32_t>& flat = direct[p][ph];
+        if (opt.batch) {
+          PhaseView view;
+          view.iter_global = phase.iter_global;
+          view.iter_local = phase.iter_local;
+          view.indir = flat;
+          view.num_iters = iters;
+          view.num_refs = R;
+          view.backend = backend;
+          view.tile_iters = plan.tile_iters;
+          kernel.compute_phase(ctx, tags, view, ps);
+        } else {
+          for (std::size_t j = 0; j < iters; ++j) {
+            for (std::uint32_t r = 0; r < R; ++r)
+              redirected[r] = flat[static_cast<std::size_t>(r) * iters + j];
+            kernel.compute_edge(ctx, tags, phase.iter_global[j],
+                                phase.iter_local[j], redirected, ps);
           }
         }
+      }
 
-        // All replicas complete before anyone folds.
-        sync.arrive_and_wait();
+      // All replicas complete before anyone folds.
+      if (!team.sync()) return;
 
-        // Fixed-order fold over this worker's node range: replica 0
-        // first, then ascending — the deterministic-merge contract.
-        for (std::uint32_t a = 0; a < RA; ++a) {
-          for (std::uint32_t v = lo; v < hi; ++v) {
-            double sum = priv[0].reduction[a][v];
-            for (std::uint32_t q = 1; q < P; ++q)
-              sum += priv[q].reduction[a][v];
-            merged.reduction[a][v] = sum;
-          }
-        }
-        kernel.update_nodes(ctx, tags, lo, hi, lo, merged);
-
-        // Publish before anyone reads another range or zeroes a replica
-        // someone may still be folding from.
-        sync.arrive_and_wait();
-
-        if (sweep + 1 < sweeps) {
-          for (std::uint32_t a = 0; a < RA; ++a)
-            std::fill(ps.reduction[a].begin(), ps.reduction[a].end(), 0.0);
-          for (std::uint32_t a = 0; a < NA; ++a)
-            std::copy(merged.node_read[a].begin(),
-                      merged.node_read[a].end(), ps.node_read[a].begin());
-          sync.arrive_and_wait();
+      // Fixed-order fold over this worker's node range: replica 0 first,
+      // then ascending — the deterministic-merge contract.
+      for (std::uint32_t a = 0; a < RA; ++a) {
+        for (std::uint32_t v = lo; v < hi; ++v) {
+          double sum = priv[0].reduction[a][v];
+          for (std::uint32_t q = 1; q < P; ++q) sum += priv[q].reduction[a][v];
+          merged.reduction[a][v] = sum;
         }
       }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+      kernel.update_nodes(ctx, tags, lo, hi, lo, merged);
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      // Publish before anyone reads another range or zeroes a replica
+      // someone may still be folding from.
+      if (!team.sync()) return;
+
+      if (sweep + 1 < sweeps) {
+        for (std::uint32_t a = 0; a < RA; ++a)
+          std::fill(ps.reduction[a].begin(), ps.reduction[a].end(), 0.0);
+        for (std::uint32_t a = 0; a < NA; ++a)
+          std::copy(merged.node_read[a].begin(), merged.node_read[a].end(),
+                    ps.node_read[a].begin());
+        if (!team.sync()) return;
+      }
+    }
+  };
+
+  NativeResult result;
+  result.wall_seconds = team.run(init_proc_state, worker);
   result.reduction = std::move(merged.reduction);
   result.node_read = std::move(merged.node_read);
   result.backend = opt.batch ? backend : BackendKind::Scalar;
-  return result;
-}
-
-/// Atomic executor: workers capture each edge's contributions in a tiny
-/// per-worker scratch block (reduction arrays sized num_refs, identity
-/// redirection), then fetch_add them into the shared arrays. No
-/// replicas, no rotation — but the accumulation order depends on thread
-/// interleaving, so results are tolerance-reproducible only (the
-/// strategy is excluded from every bit-identity gate) and the batched
-/// phase loops cannot be used (contributions must be intercepted before
-/// they hit shared memory). The compute backend is therefore always
-/// reported as Scalar.
-NativeResult run_atomic(const PhasedKernel& kernel,
-                        const ExecutionPlan& plan,
-                        const SweepOptions& opt) {
-  const KernelShape shape = kernel.shape();
-  const std::uint32_t P = plan.options.num_procs;
-  const std::uint32_t kp = P * plan.options.k;
-  const std::uint32_t RA = shape.num_reduction_arrays;
-  const std::uint32_t NA = shape.num_node_read_arrays;
-  const std::uint32_t N = shape.num_nodes;
-  const std::uint32_t R = shape.num_refs;
-
-  ProcArrays global;
-  global.reduction.assign(RA, std::vector<double>(N, 0.0));
-  global.node_read.assign(NA, std::vector<double>(N, 0.0));
-  kernel.init_node_arrays(global.node_read);
-
-  // scratch[p]: reduction rows sized num_refs (slot r holds the edge's
-  // contribution through reference r); node_read is the worker's replica.
-  std::vector<ProcArrays> scratch(P);
-  const auto init_proc_state = [&](std::uint32_t p) {
-    scratch[p].reduction.assign(RA, std::vector<double>(R, 0.0));
-    scratch[p].node_read.assign(NA, std::vector<double>(N, 0.0));
-    kernel.init_node_arrays(scratch[p].node_read);
-  };
-  if (!opt.affinity.first_touch)
-    for (std::uint32_t p = 0; p < P; ++p) init_proc_state(p);
-
-  const CostTags tags = make_cost_tags(RA, NA);
-  NativeResult result;
-  const std::uint32_t sweeps = opt.sweeps;
-  std::barrier sync(static_cast<std::ptrdiff_t>(P));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(P);
-  for (std::uint32_t p = 0; p < P; ++p) {
-    threads.emplace_back([&, p] {
-      if (opt.affinity.pin_threads) pin_current_thread(p);
-      if (opt.affinity.first_touch) {
-        init_proc_state(p);
-        sync.arrive_and_wait();
-      }
-      earth::FiberContext ctx = earth::FiberContext::detached(p);
-      ProcArrays& ps = scratch[p];
-      std::vector<std::uint32_t> identity(R);
-      for (std::uint32_t r = 0; r < R; ++r) identity[r] = r;
-      const std::uint32_t lo = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * p / P);
-      const std::uint32_t hi = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * (p + 1) / P);
-
-      for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
-        for (std::uint32_t ph = 0; ph < kp; ++ph) {
-          const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
-          const std::size_t iters = phase.iter_global.size();
-          for (std::size_t j = 0; j < iters; ++j) {
-            const std::uint64_t g = phase.iter_global[j];
-            for (std::uint32_t a = 0; a < RA; ++a)
-              std::fill(ps.reduction[a].begin(), ps.reduction[a].end(),
-                        0.0);
-            kernel.compute_edge(ctx, tags, g, phase.iter_local[j],
-                                identity, ps);
-            for (std::uint32_t a = 0; a < RA; ++a) {
-              for (std::uint32_t r = 0; r < R; ++r) {
-                std::atomic_ref<double> cell(
-                    global.reduction[a][kernel.ref(r, g)]);
-                cell.fetch_add(ps.reduction[a][r],
-                               std::memory_order_relaxed);
-              }
-            }
-          }
-        }
-
-        // All scatters land before the node update reads them.
-        sync.arrive_and_wait();
-        kernel.update_nodes(ctx, tags, lo, hi, lo, global);
-        sync.arrive_and_wait();
-
-        if (sweep + 1 < sweeps) {
-          for (std::uint32_t a = 0; a < RA; ++a)
-            std::fill(global.reduction[a].begin() + lo,
-                      global.reduction[a].begin() + hi, 0.0);
-          for (std::uint32_t a = 0; a < NA; ++a)
-            std::copy(global.node_read[a].begin(),
-                      global.node_read[a].end(), ps.node_read[a].begin());
-          sync.arrive_and_wait();
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  result.reduction = std::move(global.reduction);
-  result.node_read = std::move(global.node_read);
-  result.backend = BackendKind::Scalar;
   return result;
 }
 
@@ -1140,9 +1000,6 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
   switch (strategy) {
     case StrategyKind::Privatized:
       result = run_privatized(*exec, plan, opt, backend);
-      break;
-    case StrategyKind::Atomic:
-      result = run_atomic(*exec, plan, opt);
       break;
     case StrategyKind::Auto:  // unreachable after resolution
     case StrategyKind::Phased:

@@ -49,19 +49,12 @@ struct PlanOptions {
   /// Chunk size when distribution == BlockCyclic.
   std::uint32_t block_cyclic_size = 16;
   inspector::LightInspectorOptions inspector{};
-  /// Host threads used by build_execution_plan to run the per-processor
-  /// reference gather + LightInspector: 1 = serial (the pre-batching
-  /// behavior), 0 = one per hardware core, N = exactly N. The plan
-  /// produced is byte-identical regardless — each processor's inspector
-  /// run is independent and deterministic — so this knob deliberately
-  /// does NOT enter the PlanCache key.
-  std::uint32_t build_threads = 1;
   /// Run the structural plan verifier (inspector/plan_verifier.hpp) on
   /// the freshly built plan and throw verify_error if any rotation
   /// invariant fails. Defaults on in Debug builds (and CI, which builds
   /// Debug); off in Release, where the inspector is trusted and the
-  /// <5%-of-cold-build budget matters. Like build_threads, this does not
-  /// change the plan produced, so it is NOT part of the PlanCache key.
+  /// <5%-of-cold-build budget matters. This does not change the plan
+  /// produced, so it is NOT part of the PlanCache key.
 #ifdef NDEBUG
   bool verify = false;
 #else
@@ -195,7 +188,8 @@ struct SweepOptions {
   /// the whole run is declared stalled and aborted with a check_error
   /// naming the waiting processor and protocol step — a deadlocked
   /// protocol surfaces as a diagnostic instead of a hung process. 0 waits
-  /// forever (the pre-watchdog behavior).
+  /// forever (the pre-watchdog behavior), though a failed worker still
+  /// stops every wait.
   double stall_timeout = 30.0;
   /// Test hook: silently skip one ring forward, simulating a lost
   /// message, so the stall watchdog can be exercised deterministically.
@@ -234,7 +228,6 @@ struct NativeOptions {
   inspector::LightInspectorOptions inspector{};
   double stall_timeout = 30.0;
   SweepOptions::LostForward lose_forward{};
-  std::uint32_t build_threads = 1;
   bool batch = true;
   AffinityOptions affinity{};
   BackendKind backend = BackendKind::Auto;
@@ -242,8 +235,7 @@ struct NativeOptions {
   LayoutKind layout = LayoutKind::None;
 
   PlanOptions plan() const {
-    PlanOptions p{num_procs,         k,         distribution,
-                  block_cyclic_size, inspector, build_threads};
+    PlanOptions p{num_procs, k, distribution, block_cyclic_size, inspector};
     p.strategy = strategy;
     p.layout = layout;
     return p;
@@ -272,7 +264,9 @@ struct NativeResult {
 /// plan is read-only and may be shared by concurrent callers; `kernel`
 /// must be the kernel (or an identically-shaped twin) the plan was built
 /// from. Raises check_error when a staging-buffer wait exceeds
-/// stall_timeout (lost message / protocol deadlock).
+/// stall_timeout (lost message / protocol deadlock). An exception thrown
+/// on a worker thread (e.g. by the kernel) stops the other workers and is
+/// rethrown here; the first one wins.
 NativeResult run_native_plan(const PhasedKernel& kernel,
                              const ExecutionPlan& plan,
                              const SweepOptions& opt);

@@ -74,18 +74,14 @@ JobHandle JobScheduler::submit(JobRequest req) {
     reject(e.what(), &rejected_backend_);
     return handle;
   }
-  // Strategy admission, same contract: a forced strategy the host cannot
-  // execute — or a forced privatized strategy whose replica memory would
-  // bust the budget — rejects here with "E-STRATEGY-UNSUPPORTED";
-  // `strategy=auto` always resolves and never rejects.
+  // Strategy admission, same contract: a forced privatized strategy
+  // whose replica memory would bust the budget rejects here with
+  // "E-STRATEGY-UNSUPPORTED"; `strategy=auto` never rejects.
   if (!req.simulated) {
     try {
       const core::KernelShape shape = req.kernel->shape();
       const core::StrategyKind forced =
           core::effective_strategy(req.plan.strategy);
-      (void)core::resolve_strategy(
-          req.plan.strategy,
-          core::strategy_inputs(shape, req.plan.num_procs, req.plan.k));
       if (forced == core::StrategyKind::Privatized) {
         const std::uint64_t bytes =
             core::privatized_replica_bytes(shape, req.plan.num_procs);
@@ -246,7 +242,6 @@ void JobScheduler::worker_loop() {
         }
         switch (out.strategy) {
           case core::StrategyKind::Privatized: ++served_privatized_; break;
-          case core::StrategyKind::Atomic: ++served_atomic_; break;
           default: ++served_phased_; break;
         }
       } else if (out.state == JobState::Rejected) {
@@ -376,7 +371,6 @@ ServiceStats JobScheduler::stats() const {
     s.served_avx512 = served_avx512_;
     s.served_phased = served_phased_;
     s.served_privatized = served_privatized_;
-    s.served_atomic = served_atomic_;
     s.completed = completed_;
     s.failed = failed_;
     s.queue_depth = queue_.size();

@@ -261,7 +261,6 @@ class JobScheduler {
   std::uint64_t served_avx512_ = 0;
   std::uint64_t served_phased_ = 0;      ///< Done jobs by serving strategy
   std::uint64_t served_privatized_ = 0;
-  std::uint64_t served_atomic_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t in_flight_ = 0;

@@ -513,9 +513,10 @@ void ServeLoop::run() {
     if (listen_fd_ >= 0 && conn_base >= 2 && (fds[1].revents & POLLIN))
       accept_ready();
 
-    // Conns_ may shrink below; walk by index against the snapshot size.
-    const std::size_t snapshot = conns_.size();
-    for (std::size_t i = 0; i < snapshot && i < conns_.size(); ++i) {
+    // Walk only the polled connections: accept_ready() may have appended
+    // new ones that have no pollfd (and no revents) yet.
+    const std::size_t polled = fds.size() - conn_base;
+    for (std::size_t i = 0; i < polled && i < conns_.size(); ++i) {
       const short rev = fds[conn_base + i].revents;
       Conn& c = conns_[i];
       if (rev & (POLLERR | POLLHUP | POLLNVAL)) {

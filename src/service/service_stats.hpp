@@ -24,9 +24,9 @@ struct ServiceStats {
   /// Jobs requesting a compute backend this host cannot run
   /// ("E-BACKEND-UNSUPPORTED"); `backend=auto` never trips this.
   std::uint64_t rejected_backend = 0;
-  /// Jobs forcing a lowering strategy this host cannot run, or a
-  /// privatized strategy whose replica memory exceeds the admission
-  /// budget ("E-STRATEGY-UNSUPPORTED"); `strategy=auto` never trips this.
+  /// Jobs forcing a privatized strategy whose replica memory exceeds the
+  /// admission budget ("E-STRATEGY-UNSUPPORTED"); `strategy=auto` never
+  /// trips this.
   std::uint64_t rejected_strategy = 0;
   std::uint64_t completed = 0;  ///< finished successfully
   std::uint64_t failed = 0;     ///< raised (deadline stall, bad shapes, ...)
@@ -43,7 +43,6 @@ struct ServiceStats {
   // phased).
   std::uint64_t served_phased = 0;
   std::uint64_t served_privatized = 0;
-  std::uint64_t served_atomic = 0;
 
   // Instantaneous occupancy.
   std::uint64_t queue_depth = 0;

@@ -187,9 +187,9 @@ std::uint64_t content_key(std::string_view job_line) {
       // bit-identical by contract, so plans and shard placement must
       // not fork on them.
       static const std::set<std::string> kNonRouting = {
-          "sweeps", "deadline", "engine",  "name",
-          "batch",  "no-batch", "pin",     "parallel-build",
-          "verify", "mutate",   "mutate-seed", "backend"};
+          "sweeps", "deadline", "engine",      "name",
+          "batch",  "no-batch", "pin",         "verify",
+          "mutate", "mutate-seed", "backend"};
       if (!kNonRouting.count(key)) {
         junk += std::string(t);
         junk += '\n';

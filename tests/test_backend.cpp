@@ -162,10 +162,6 @@ service::JobRequest small_job(BackendKind backend) {
       mesh::make_geometric_mesh({96, 400, 5}));
   req.plan.num_procs = 2;
   req.plan.k = 2;
-  // These tests count which SIMD tier served the job; pin the phased
-  // strategy so the CI strategy-matrix env cannot route the job onto the
-  // atomic scatter, whose per-edge path always reports Scalar.
-  req.plan.strategy = core::StrategyKind::Phased;
   req.sweeps = 1;
   req.backend = backend;
   return req;

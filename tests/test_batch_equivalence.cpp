@@ -6,8 +6,7 @@
 // block. The batch loops perform the same floating-point operations in
 // the same order, so the two executors must agree *bit for bit* — these
 // tests assert exact equality, not tolerances, across every kernel,
-// distribution, and k, and likewise that parallel plan construction
-// produces a plan indistinguishable from the serial build.
+// distribution, and k.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -170,50 +169,6 @@ TEST(BatchEquivalence, AffinityKnobsDoNotChangeResults) {
   expect_results_identical(plain, pinned_edge, "affinity + per-edge");
 }
 
-void expect_plans_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
-  ASSERT_EQ(a.insp.size(), b.insp.size());
-  for (std::size_t p = 0; p < a.insp.size(); ++p) {
-    const inspector::InspectorResult& ia = a.insp[p];
-    const inspector::InspectorResult& ib = b.insp[p];
-    EXPECT_EQ(ia.num_buffer_slots, ib.num_buffer_slots) << "proc " << p;
-    EXPECT_EQ(ia.local_array_size, ib.local_array_size) << "proc " << p;
-    EXPECT_EQ(ia.assigned_phase, ib.assigned_phase) << "proc " << p;
-    EXPECT_EQ(ia.slot_elem, ib.slot_elem) << "proc " << p;
-    EXPECT_EQ(ia.free_slots, ib.free_slots) << "proc " << p;
-    ASSERT_EQ(ia.phases.size(), ib.phases.size()) << "proc " << p;
-    for (std::size_t ph = 0; ph < ia.phases.size(); ++ph) {
-      const inspector::PhaseSchedule& pa = ia.phases[ph];
-      const inspector::PhaseSchedule& pb = ib.phases[ph];
-      EXPECT_EQ(pa.iter_global, pb.iter_global) << p << "/" << ph;
-      EXPECT_EQ(pa.iter_local, pb.iter_local) << p << "/" << ph;
-      EXPECT_EQ(pa.indir, pb.indir) << p << "/" << ph;
-      EXPECT_EQ(pa.indir_flat, pb.indir_flat) << p << "/" << ph;
-      EXPECT_EQ(pa.copy_dst, pb.copy_dst) << p << "/" << ph;
-      EXPECT_EQ(pa.copy_src, pb.copy_src) << p << "/" << ph;
-    }
-  }
-}
-
-TEST(BatchEquivalence, ParallelPlanBuildMatchesSerialExactly) {
-  // build_threads must never leak into the plan: each processor's
-  // inspector run is independent, so the task-pool build is byte-for-byte
-  // the serial build (this is what justifies keeping build_threads out of
-  // the PlanCache key).
-  const kernels::EulerKernel kernel(mesh::make_geometric_mesh({200, 900, 3}));
-  for (const std::uint32_t P : {1u, 3u, 8u}) {
-    PlanOptions popt;
-    popt.num_procs = P;
-    popt.k = 2;
-    popt.build_threads = 1;
-    const ExecutionPlan serial = build_execution_plan(kernel, popt);
-    for (const std::uint32_t threads : {0u, 2u, 4u, 16u}) {
-      popt.build_threads = threads;
-      const ExecutionPlan parallel = build_execution_plan(kernel, popt);
-      expect_plans_identical(serial, parallel);
-    }
-  }
-}
-
 TEST(BatchEquivalence, ByteSizeCountsPhaseData) {
   // byte_size drives PlanCache eviction, so it must track everything the
   // plan owns: a mesh with more edges (more phase iterations, more
@@ -238,8 +193,7 @@ TEST(BatchEquivalence, ByteSizeCountsPhaseData) {
 
 TEST(BatchEquivalence, StrategySweepKeepsExecutorContracts) {
   // The strategy sweep of the original equivalence gate: for every
-  // deterministic strategy (atomic is excluded from bit-identity gates by
-  // contract), the batched executor must reproduce that strategy's
+  // strategy, the batched executor must reproduce that strategy's
   // per-edge run bit for bit, and report the strategy it ran.
   const std::vector<NamedKernel> kernels = make_kernels();
   for (const NamedKernel& nk : kernels) {

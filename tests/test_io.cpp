@@ -8,6 +8,7 @@
 #include "sparse/io.hpp"
 #include "sparse/nas_cg.hpp"
 #include "support/check.hpp"
+#include "scratch_dir.hpp"
 
 namespace earthred {
 namespace {
@@ -76,7 +77,8 @@ TEST(MeshIo, RejectsTruncatedCoordinates) {
 
 TEST(MeshIo, FileRoundTrip) {
   const mesh::Mesh m = mesh::make_geometric_mesh({50, 180, 4});
-  const std::string path = "/tmp/earthred_test_mesh.txt";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("mesh.txt");
   mesh::save_mesh(path, m);
   const mesh::Mesh r = mesh::load_mesh(path);
   EXPECT_EQ(r.num_edges(), m.num_edges());

@@ -1,9 +1,12 @@
 // Tests for the native (real std::thread) execution of the rotation
 // strategy: correctness under true asynchrony across kernels, processor
-// counts, k values and distributions.
+// counts, k values and distributions, and the worker team's failure path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/native_engine.hpp"
@@ -85,9 +88,8 @@ TEST(NativeEngine, RepeatedRunsAreDeterministic) {
   opt.num_procs = 5;
   opt.k = 2;
   opt.sweeps = 4;
-  // Bit-reproducibility is a phased/privatized contract; pin phased so
-  // the CI strategy-matrix env cannot route this onto the atomic scatter,
-  // which is tolerance-reproducible only.
+  // Pin phased: this test is about the rotation engine, whatever the CI
+  // strategy-matrix env forces.
   opt.strategy = StrategyKind::Phased;
   const NativeResult a = run_native_engine(kernel, opt);
   const NativeResult b = run_native_engine(kernel, opt);
@@ -170,6 +172,99 @@ TEST(NativeEngine, ZeroStallTimeoutStillRunsCleanSchedules) {
   const NativeResult r = run_native_engine(kernel, opt);
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)
     ASSERT_EQ(r.reduction[0][i], seq.reduction[0][i]);
+}
+
+struct InjectedFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// A real kernel whose compute paths throw on one processor: a kernel
+/// fault on a single worker thread.
+class FaultyKernel final : public PhasedKernel {
+ public:
+  FaultyKernel(std::unique_ptr<PhasedKernel> inner, std::uint32_t bad_proc)
+      : inner_(std::move(inner)), bad_proc_(bad_proc) {}
+
+  KernelShape shape() const override { return inner_->shape(); }
+  std::uint32_t ref(std::uint32_t r, std::uint64_t edge) const override {
+    return inner_->ref(r, edge);
+  }
+  void init_node_arrays(
+      std::vector<std::vector<double>>& arrays) const override {
+    inner_->init_node_arrays(arrays);
+  }
+  void compute_edge(earth::FiberContext& ctx, const CostTags& tags,
+                    std::uint64_t edge_global, std::uint64_t edge_slot,
+                    std::span<const std::uint32_t> redirected,
+                    ProcArrays& arrays) const override {
+    fail_on(ctx);
+    inner_->compute_edge(ctx, tags, edge_global, edge_slot, redirected,
+                         arrays);
+  }
+  void compute_phase(earth::FiberContext& ctx, const CostTags& tags,
+                     const PhaseView& phase,
+                     ProcArrays& arrays) const override {
+    fail_on(ctx);
+    inner_->compute_phase(ctx, tags, phase, arrays);
+  }
+  void update_nodes(earth::FiberContext& ctx, const CostTags& tags,
+                    std::uint32_t begin, std::uint32_t end,
+                    std::uint32_t base, ProcArrays& arrays) const override {
+    inner_->update_nodes(ctx, tags, begin, end, base, arrays);
+  }
+  std::unique_ptr<PhasedKernel> clone_renumbered(
+      std::span<const std::uint32_t> perm) const override {
+    std::unique_ptr<PhasedKernel> inner = inner_->clone_renumbered(perm);
+    if (!inner) return nullptr;
+    return std::make_unique<FaultyKernel>(std::move(inner), bad_proc_);
+  }
+
+ private:
+  void fail_on(const earth::FiberContext& ctx) const {
+    if (ctx.node() == bad_proc_)
+      throw InjectedFault("injected kernel fault on proc " +
+                          std::to_string(bad_proc_));
+  }
+
+  std::unique_ptr<PhasedKernel> inner_;
+  std::uint32_t bad_proc_;
+};
+
+TEST(NativeEngine, WorkerExceptionStopsTheTeamAndReachesTheCaller) {
+  // A kernel fault on one worker must reach the caller as the original,
+  // catchable exception — never std::terminate — and promptly: the other
+  // workers are stopped through the watchdog's flag, so nobody waits for
+  // a timeout. stall_timeout = 0 (unbounded waits) proves the stop does
+  // not depend on the watchdog firing.
+  const FaultyKernel kernel(
+      std::make_unique<kernels::Fig1Kernel>(
+          kernels::Fig1Kernel::with_integer_values(
+              mesh::make_geometric_mesh({96, 500, 21}))),
+      /*bad_proc=*/1);
+  for (const StrategyKind strategy :
+       {StrategyKind::Phased, StrategyKind::Privatized}) {
+    for (const bool batch : {true, false}) {
+      for (const bool first_touch : {false, true}) {
+        NativeOptions opt;
+        opt.num_procs = 4;
+        opt.k = 2;
+        opt.sweeps = 3;
+        opt.stall_timeout = 0.0;
+        opt.strategy = strategy;
+        opt.batch = batch;
+        opt.affinity.first_touch = first_touch;
+        const std::string what = std::string(to_string(strategy)) +
+                                 (batch ? " batched" : " per-edge") +
+                                 (first_touch ? " first-touch" : "");
+        const auto t0 = std::chrono::steady_clock::now();
+        EXPECT_THROW(run_native_engine(kernel, opt), InjectedFault) << what;
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+        EXPECT_LT(seconds, 5.0) << what;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -267,6 +267,62 @@ TEST(ServeLoop, SubmitPingAndRemoteDigestMatchesInProcessRun) {
   EXPECT_EQ(stats.parse_rejects, 1u);
 }
 
+TEST(ServeLoop, ConnectionsAcceptedMidJobAreServed) {
+  // While a job is in flight the loop polls on its short busy tick, and
+  // one accept_ready() call can append several connections at once. That
+  // round must walk only the connections it polled; the newcomers are
+  // served from the next round on.
+  TestServer server;
+  ASSERT_TRUE(server.start());
+
+  net::Client busy(client_config(server.port()));
+  // jthread: joined on every exit path, including a failed ASSERT below.
+  std::jthread long_job([&] {
+    const net::Client::Reply r = busy.submit(
+        "kernel=euler nodes=20000 edges=100000 procs=2 k=2 sweeps=200 "
+        "name=long");
+    EXPECT_TRUE(r.ok()) << r.code << ": " << r.detail;
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.sched.stats().in_flight == 0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // Connect every newcomer before any of them speaks, so they queue up
+  // on the listen socket together.
+  constexpr std::size_t kNewcomers = 6;
+  std::vector<std::unique_ptr<net::TcpStream>> streams;
+  for (std::size_t i = 0; i < kNewcomers; ++i) {
+    std::string error;
+    streams.push_back(
+        net::TcpStream::connect("127.0.0.1", server.port(), 1000, &error));
+    ASSERT_NE(streams.back(), nullptr) << error;
+  }
+  for (std::size_t i = 0; i < kNewcomers; ++i) {
+    const auto ping = net::encode_frame(net::FrameType::Ping, i + 1, {});
+    ASSERT_TRUE(streams[i]->write_all(ping.data(), ping.size(), 1000).ok());
+  }
+  for (std::size_t i = 0; i < kNewcomers; ++i) {
+    const net::FrameRead reply =
+        net::read_frame(*streams[i], net::kDefaultMaxPayload, 5000);
+    ASSERT_TRUE(reply.ok()) << "newcomer " << i << ": " << reply.code;
+    EXPECT_EQ(reply.type, net::FrameType::Pong) << "newcomer " << i;
+  }
+  // And a newcomer's job is served alongside the long one.
+  net::Client late(client_config(server.port()));
+  const net::Client::Reply r = late.submit(kSmallJob);
+  ASSERT_TRUE(r.ok()) << r.code << ": " << r.detail;
+
+  long_job.join();
+  streams.clear();
+  server.drain();
+  const ServeStats stats = server.loop->stats();
+  EXPECT_GE(stats.accepted, 2u + kNewcomers);
+  EXPECT_EQ(stats.results_sent, 2u);
+  EXPECT_EQ(stats.bad_frames, 0u);
+}
+
 TEST(ServeLoop, InflightLimitShedsWithBusy) {
   ServeConfig scfg;
   scfg.max_inflight = 0;  // every submission is over the limit

@@ -22,6 +22,7 @@
 #include "mesh/generators.hpp"
 #include "service/plan_cache.hpp"
 #include "service/plan_store.hpp"
+#include "scratch_dir.hpp"
 
 namespace earthred::service {
 namespace {
@@ -39,16 +40,6 @@ core::PlanOptions plan_opts(std::uint32_t P = 4, std::uint32_t k = 2) {
   opt.k = k;
   return opt;
 }
-
-/// Scratch store directory, removed on destruction.
-struct ScratchStore {
-  std::string dir;
-  ScratchStore()
-      : dir((fs::temp_directory_path() / "earthred-test-planstore").string()) {
-    fs::remove_all(dir);
-  }
-  ~ScratchStore() { fs::remove_all(dir); }
-};
 
 std::vector<std::byte> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -69,8 +60,8 @@ TEST(PlanStore, RoundTripIsZeroCopyAndBitIdentical) {
   const core::PlanOptions opt = plan_opts();
   const core::ExecutionPlan plan = core::build_execution_plan(kernel, opt);
 
-  ScratchStore scratch;
-  const PlanStore store(scratch.dir);
+  const test::ScratchDir scratch;
+  const PlanStore store(scratch.str());
   const PlanKey key = make_plan_key(kernel, opt);
   std::string error;
   ASSERT_TRUE(store.save(key, plan, &error)) << error;
@@ -114,8 +105,8 @@ TEST(PlanStore, LayoutPlanRoundTripsPermutationArrays) {
   ASSERT_EQ(plan.applied_layout, core::LayoutKind::Rcm);
   ASSERT_GT(plan.tile_iters, 0u);
 
-  ScratchStore scratch;
-  const PlanStore store(scratch.dir);
+  const test::ScratchDir scratch;
+  const PlanStore store(scratch.str());
   const PlanKey key = make_plan_key(kernel, opt);
   EXPECT_EQ(key.layout, core::LayoutKind::Rcm);
   EXPECT_NE(store.path_for(key).find("-rcm"), std::string::npos)
@@ -154,8 +145,8 @@ TEST(PlanStore, BrokenPermutationIsPermError) {
   const auto kernel = make_kernel();
   core::PlanOptions opt = plan_opts();
   opt.layout = core::LayoutKind::Rcm;
-  ScratchStore scratch;
-  const PlanStore store(scratch.dir);
+  const test::ScratchDir scratch;
+  const PlanStore store(scratch.str());
   const PlanKey key = make_plan_key(kernel, opt);
 
   const auto expect_perm_error = [&](core::ExecutionPlan&& bad) {
@@ -185,8 +176,8 @@ TEST(PlanStore, BrokenPermutationIsPermError) {
 }
 
 TEST(PlanStore, MissingKeyIsOpenError) {
-  ScratchStore scratch;
-  const PlanStore store(scratch.dir);
+  const test::ScratchDir scratch;
+  const PlanStore store(scratch.str());
   const auto kernel = make_kernel();
   const core::PlanLoadResult r =
       store.load(make_plan_key(kernel, plan_opts()));
@@ -200,8 +191,8 @@ TEST(PlanStore, CorruptionClassesAreCodedRejections) {
   const auto kernel = make_kernel();
   const core::PlanOptions opt = plan_opts();
   const core::ExecutionPlan plan = core::build_execution_plan(kernel, opt);
-  ScratchStore scratch;
-  const PlanStore store(scratch.dir);
+  const test::ScratchDir scratch;
+  const PlanStore store(scratch.str());
   const PlanKey key = make_plan_key(kernel, opt);
   ASSERT_TRUE(store.save(key, plan));
   const std::string path = store.path_for(key);
@@ -336,13 +327,13 @@ TEST(PlanStore, CommittedKeyMismatchCorpusIsRejected) {
 TEST(PlanCacheStore, WarmProcessServesFromDiskAndFallsBackOnCorruption) {
   const auto kernel = make_kernel();
   const core::PlanOptions opt = plan_opts();
-  ScratchStore scratch;
+  const test::ScratchDir scratch;
 
   PlanKey key;
   // Process 1: cold build, persisted on the way out.
   {
     PlanCache::Config cfg;
-    cfg.store = std::make_shared<PlanStore>(scratch.dir);
+    cfg.store = std::make_shared<PlanStore>(scratch.str());
     PlanCache cache(cfg);
     PlanCache::Outcome how{};
     const PlanPtr p = cache.lookup_or_build(kernel, opt, {}, &how);
@@ -356,7 +347,7 @@ TEST(PlanCacheStore, WarmProcessServesFromDiskAndFallsBackOnCorruption) {
   // Process 2 (fresh cache, same store): served by a zero-copy load.
   {
     PlanCache::Config cfg;
-    cfg.store = std::make_shared<PlanStore>(scratch.dir);
+    cfg.store = std::make_shared<PlanStore>(scratch.str());
     PlanCache cache(cfg);
     PlanCache::Outcome how{};
     const PlanPtr p = cache.lookup_or_build(kernel, opt, {}, &how);
@@ -373,14 +364,14 @@ TEST(PlanCacheStore, WarmProcessServesFromDiskAndFallsBackOnCorruption) {
   // Process 3: the stored file is corrupt -> counted fallback to a
   // rebuild; the client still gets a working plan and no error.
   {
-    const PlanStore store(scratch.dir);
+    const PlanStore store(scratch.str());
     const std::string path = store.path_for(key);
     auto bytes = read_file(path);
     bytes[core::kPlanHeaderBytes + 17] ^= std::byte{0x04};
     write_file(path, bytes);
 
     PlanCache::Config cfg;
-    cfg.store = std::make_shared<PlanStore>(scratch.dir);
+    cfg.store = std::make_shared<PlanStore>(scratch.str());
     PlanCache cache(cfg);
     PlanCache::Outcome how{};
     const PlanPtr p = cache.lookup_or_build(kernel, opt, {}, &how);

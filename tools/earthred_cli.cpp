@@ -12,20 +12,17 @@
 //                        native engine only:
 //                        [--batch|--no-batch] (batched compute_phase hot
 //                        path, default on) [--pin] (worker pinning +
-//                        first-touch) [--parallel-build[=T]] (plan build
-//                        task pool; T omitted = all cores)
+//                        first-touch)
 //                        [--backend=auto|scalar|avx2|avx512] (compute
 //                        backend for the batched loops; auto picks the
 //                        widest tier the host supports, an explicit tier
 //                        the host lacks fails with E-BACKEND-UNSUPPORTED;
 //                        all tiers are bit-identical)
-//                        [--strategy=auto|phased|privatized|atomic]
-//                        (lowering strategy: phased rotation engine,
+//                        [--strategy=auto|phased|privatized]
+//                        (lowering strategy: phased rotation engine, or
 //                        per-worker privatized replicas with a fixed
-//                        worker-ascending fold, or opt-in atomic CAS
-//                        scatter; auto scores all three with the cost
-//                        model in src/core/strategy.cpp and never picks
-//                        atomic for floating-point accumulators)
+//                        worker-ascending fold; auto scores both with the
+//                        cost model in src/core/strategy.cpp)
 //                        [--layout=none|rcm|auto] (data-layout pass at
 //                        plan build: RCM renumbering of the reduction
 //                        arrays + target-stable edge reorder + cache
@@ -41,7 +38,7 @@
 //   earthred compile    --file=loop.dsl [--emit]
 //   earthred check      <loop.dsl> | --file=loop.dsl
 //                        [--explain] [--json] [--Werror]
-//                        [--strategy=auto|phased|privatized|atomic]
+//                        [--strategy=auto|phased|privatized]
 //                        [--procs=P] [--k=K]
 //                        (reduction-legality analysis + per-loop lowering
 //                        strategy selection: prints every diagnostic with
@@ -126,14 +123,13 @@
 // skipped. Keys: kernel=euler|moldyn|fig1, mesh=<file> or
 // preset=<name> or nodes=N edges=E [seed=S], procs=P, k=K,
 // dist=block|cyclic|bc [bc=CHUNK], sweeps=N, [dedup], [deadline=S],
-// [engine=native|sim], [name=LABEL], [no-batch], [pin],
-// [parallel-build[=T]], [verify=on|off] (plan verification before the
-// sweeps; defaults to the build type's PlanOptions::verify),
-// [backend=auto|scalar|avx2|avx512] (compute backend; an unsupported
-// tier is rejected at admission with E-BACKEND-UNSUPPORTED, auto never
-// rejects), [strategy=auto|phased|privatized|atomic] (lowering strategy;
-// a forced strategy the host cannot honor — or forced privatized replicas
-// over the admission byte budget — is rejected with
+// [engine=native|sim], [name=LABEL], [no-batch], [pin], [verify=on|off]
+// (plan verification before the sweeps; defaults to the build type's
+// PlanOptions::verify), [backend=auto|scalar|avx2|avx512] (compute
+// backend; an unsupported tier is rejected at admission with
+// E-BACKEND-UNSUPPORTED, auto never rejects),
+// [strategy=auto|phased|privatized] (lowering strategy; forced privatized
+// replicas over the admission byte budget are rejected with
 // E-STRATEGY-UNSUPPORTED, auto never rejects), [layout=none|rcm|auto]
 // (data-layout pass; forks the plan key and shard routing when
 // non-default, bit-identical results either way). Jobs on the same mesh
@@ -302,12 +298,10 @@ int cmd_info(const Options& opt) {
   return 0;
 }
 
-/// Shared parsing of the native-engine hot-path knobs (`run` flags and
-/// batch/serve job-line keys): --batch/--no-batch, --pin,
-/// --parallel-build[=T] (T omitted = one build thread per core).
+/// Parsing of the native-engine hot-path flags of `run`:
+/// --batch/--no-batch, --pin, --backend.
 void hotpath_from_options(const Options& opt, bool& batch,
                           core::AffinityOptions& affinity,
-                          std::uint32_t& build_threads,
                           core::BackendKind& backend) {
   batch = opt.has("no-batch") ? false : opt.get_bool("batch", true);
   backend = core::parse_backend(opt.get("backend", "auto"));
@@ -315,9 +309,6 @@ void hotpath_from_options(const Options& opt, bool& batch,
     affinity.pin_threads = true;
     affinity.first_touch = true;
   }
-  if (opt.has("parallel-build"))
-    build_threads =
-        static_cast<std::uint32_t>(opt.get_int("parallel-build", 0));
 }
 
 earth::FaultConfig fault_from_options(const Options& opt) {
@@ -382,8 +373,8 @@ int cmd_run(const Options& opt) {
                         " only applies to --engine=native (the '" + engine +
                         "' engine simulates per-edge execution)");
   }
-  // --strategy likewise picks a native lowering (phased rotation,
-  // privatized replicas, or atomic scatter); the simulated engines only
+  // --strategy likewise picks a native lowering (phased rotation or
+  // privatized replicas); the simulated engines only
   // model the phased rotation, so a concrete strategy is refused there.
   if (opt.has("strategy")) {
     const core::StrategyKind requested =
@@ -445,8 +436,7 @@ int cmd_run(const Options& opt) {
     nopt.k = k;
     nopt.distribution = dist;
     nopt.sweeps = sweeps;
-    hotpath_from_options(opt, nopt.batch, nopt.affinity,
-                         nopt.build_threads, nopt.backend);
+    hotpath_from_options(opt, nopt.batch, nopt.affinity, nopt.backend);
     nopt.strategy = core::parse_strategy(opt.get("strategy", "auto"));
     nopt.layout = core::parse_layout(opt.get("layout", "none"));
     const core::ExecutionPlan plan =
@@ -594,7 +584,6 @@ std::string lowering_plan_json(const compiler::LoweringPlan& plan) {
       JsonWriter sw;
       sw.field("strategy", std::string(core::to_string(s.strategy)))
           .field("cost_per_edge", s.cost_per_edge)
-          .field("auto_eligible", s.auto_eligible)
           .field("rationale", s.rationale);
       scores.push_back(sw.str());
     }
@@ -880,7 +869,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
         .field("served_avx512", stats.served_avx512)
         .field("served_phased", stats.served_phased)
         .field("served_privatized", stats.served_privatized)
-        .field("served_atomic", stats.served_atomic)
         .field("p50_latency_s", stats.p50_latency)
         .field("p95_latency_s", stats.p95_latency)
         .field("p99_latency_s", stats.p99_latency)

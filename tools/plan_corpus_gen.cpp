@@ -104,6 +104,11 @@ int main(int argc, char** argv) {
     b[core::kPlanHeaderBytes + b.size() / 3] ^= std::byte{0x10};
     write_file(dir / "checksum-payload-bitflip.plan", b);
   }
+  {
+    auto b = good;
+    b[76] = std::byte{3};  // u32 strategy: 3 is the retired atomic value
+    write_file(dir / "parse-strategy-reserved.plan", b);
+  }
 
   // E-STORE-PERM: a layout plan whose permutation is not a bijection.
   // The defect is inserted *before* serialization so the payload

@@ -64,6 +64,8 @@ LayoutKind parse_layout(std::string_view name);
 /// request always wins over the environment. This is how CI's
 /// layout-matrix job pushes every default-layout plan through rcm without
 /// touching each test — legal only because layouts are bit-identical.
+/// build_execution_plan lets an overridden request fall back to the
+/// paper-faithful plan on kernels that cannot renumber, as `auto` does.
 LayoutKind effective_layout(LayoutKind requested);
 
 /// Tile size (iterations per tile) for the cache-blocked batched loops.

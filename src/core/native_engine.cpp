@@ -261,8 +261,12 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
   // Resolve the request (environment override included) and compute the
   // portion-preserving permutation. The effective kind is written back
   // into plan.options so the plan and its cache/store key can never
-  // disagree about what was built.
+  // disagree about what was built. An EARTHRED_FORCE_LAYOUT override
+  // (the request itself was None) falls back like `auto` on kernels that
+  // cannot renumber; only an explicit layout=rcm request is refused.
   const LayoutKind requested = effective_layout(opt.layout);
+  const bool may_fall_back =
+      requested == LayoutKind::Auto || opt.layout == LayoutKind::None;
   plan.options.layout = requested;
   std::vector<std::uint32_t> perm;
   if (requested != LayoutKind::None) {
@@ -271,7 +275,7 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
     if (!perm.empty()) renumberable = kernel.clone_renumbered(perm) != nullptr;
     if (renumberable) {
       plan.applied_layout = LayoutKind::Rcm;
-    } else if (requested == LayoutKind::Auto) {
+    } else if (may_fall_back) {
       perm.clear();  // fall back: paper-faithful plan
     } else {
       throw check_error(
@@ -347,13 +351,17 @@ ExecutionPlan patch_execution_plan(
                      shape.num_node_read_arrays ==
                          previous.shape.num_node_read_arrays,
                  "incremental re-plan requires an identically-shaped kernel");
+  for (std::uint32_t g : changed_iterations)
+    ER_EXPECTS_MSG(g < shape.num_edges, "changed iteration id out of range");
   // Layout bases interleave the inspector's canonical iteration order
   // with the target-stable reorder, which the sparse updater cannot patch
   // through. Builds are deterministic, so rebuilding under the base's
   // options is bit-identical to a fresh build — the patch contract — just
-  // not incremental; the PlanCache counts this fallback separately.
-  if (previous.applied_layout != LayoutKind::None ||
-      previous.options.layout != LayoutKind::None)
+  // not incremental; the PlanCache counts this fallback separately. A
+  // base whose layout request fell back (auto or an env-forced rcm on a
+  // kernel that cannot renumber) is in canonical order and patches like
+  // a layout=none base.
+  if (previous.applied_layout != LayoutKind::None)
     return build_execution_plan(kernel, previous.options);
   ER_EXPECTS_MSG(!opt.inspector.dedup_buffers,
                  "incremental re-plan supports the paper's one-slot-per-"
@@ -382,7 +390,6 @@ ExecutionPlan patch_execution_plan(
       changed_sorted.end());
   std::vector<std::vector<inspector::ChangedIteration>> per_proc(P);
   for (std::uint32_t g : changed_sorted) {
-    ER_EXPECTS_MSG(g < shape.num_edges, "changed iteration id out of range");
     const inspector::IterationHome home = inspector::locate_iteration(
         shape.num_edges, P, opt.distribution, opt.block_cyclic_size, g);
     inspector::ChangedIteration ch;

@@ -116,8 +116,9 @@ struct ExecutionPlan {
   inspector::U32Buf perm;
   inspector::U32Buf perm_inv;
   /// What the layout pass actually did: Rcm when the three-step pass ran,
-  /// None when options.layout was None or Auto fell back (kernel cannot
-  /// renumber). Never Auto.
+  /// None when options.layout was None, or when Auto or an
+  /// EARTHRED_FORCE_LAYOUT override fell back (kernel cannot renumber).
+  /// Never Auto.
   LayoutKind applied_layout = LayoutKind::None;
   /// Cache-blocking tile size for the batched phase loops (0 = untiled;
   /// always 0 when applied_layout is None, preserving the pre-layout hot

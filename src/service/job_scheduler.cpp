@@ -19,6 +19,14 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The one way a job resolves: the outcome becomes visible through the
+/// handle first, then the request's callback learns about it.
+void resolve(std::promise<JobOutcome>& promise, JobOutcome out,
+             const JobRequest& req) {
+  promise.set_value(std::move(out));
+  if (req.on_resolved) req.on_resolved();
+}
+
 }  // namespace
 
 JobScheduler::JobScheduler(Config cfg)
@@ -42,11 +50,13 @@ JobHandle JobScheduler::submit(JobRequest req) {
     out.state = JobState::Rejected;
     out.name = req.name;
     out.error = reason;
-    promise.set_value(std::move(out));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++submitted_;
-    ++rejected_;
-    if (bucket) ++*bucket;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++submitted_;
+      ++rejected_;
+      if (bucket) ++*bucket;
+    }
+    resolve(promise, std::move(out), req);
   };
 
   if (!req.dsl_source.empty()) {
@@ -181,7 +191,7 @@ void JobScheduler::abort_queued(const std::string& reason) {
     out.error = reason;
     out.queue_seconds = seconds_since(job.submitted);
     out.total_seconds = out.queue_seconds;
-    job.promise.set_value(std::move(out));
+    resolve(job.promise, std::move(out), job.req);
   }
   cv_.notify_all();
 }
@@ -223,7 +233,7 @@ void JobScheduler::worker_loop() {
           out.queue_seconds,
           job.req.deadline_seconds > 0.0 ? job.req.deadline_seconds
                                          : cfg_.default_deadline);
-      job.promise.set_value(std::move(out));
+      resolve(job.promise, std::move(out), job.req);
       continue;
     }
 
@@ -263,7 +273,7 @@ void JobScheduler::worker_loop() {
         }
       }
     }
-    job.promise.set_value(std::move(out));
+    resolve(job.promise, std::move(out), job.req);
   }
 }
 
@@ -355,8 +365,21 @@ JobOutcome JobScheduler::execute(Queued& job) {
 }
 
 ServiceStats JobScheduler::stats() const {
-  ServiceStats s;
   std::vector<double> latencies;
+  ServiceStats s = snapshot(&latencies);
+  if (!latencies.empty()) {
+    std::sort(latencies.begin(), latencies.end());
+    s.p50_latency = quantile_sorted(latencies, 0.50);
+    s.p95_latency = quantile_sorted(latencies, 0.95);
+    s.p99_latency = quantile_sorted(latencies, 0.99);
+  }
+  return s;
+}
+
+ServiceStats JobScheduler::counters() const { return snapshot(nullptr); }
+
+ServiceStats JobScheduler::snapshot(std::vector<double>* latencies) const {
+  ServiceStats s;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     s.submitted = submitted_;
@@ -383,13 +406,7 @@ ServiceStats JobScheduler::stats() const {
     s.mean_warm_setup =
         warm_setups_ ? warm_setup_sum_ / static_cast<double>(warm_setups_)
                      : 0.0;
-    latencies = latencies_;
-  }
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    s.p50_latency = quantile_sorted(latencies, 0.50);
-    s.p95_latency = quantile_sorted(latencies, 0.95);
-    s.p99_latency = quantile_sorted(latencies, 0.99);
+    if (latencies) *latencies = latencies_;
   }
   s.cache = cache_.counters();
   return s;

@@ -31,6 +31,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -94,6 +95,15 @@ struct JobRequest {
   /// worker. The kernel is still what executes; the source is the
   /// admission contract.
   std::string dsl_source;
+  /// Resolution callback: called exactly once per job, right after its
+  /// handle becomes ready, on the thread that resolved it — inside
+  /// submit() for an admission reject, a worker for Done / Failed /
+  /// verifier reject / drain expiry, the abort_queued() caller for an
+  /// abort. Lets a consumer (ServeLoop's wake pipe, the CLI batch wait)
+  /// sleep until a result exists instead of polling handles. Must be
+  /// cheap and must not throw; it may outlive whoever set it, so it
+  /// should own (not borrow) what it touches.
+  std::function<void()> on_resolved;
 };
 
 enum class JobState {
@@ -146,9 +156,9 @@ class JobHandle {
   const JobOutcome& wait() const& { return future_.get(); }
   const JobOutcome& wait() && = delete;
 
-  /// Non-blocking: true once wait() would return immediately. Lets event
-  /// loops (ServeLoop, the signal-aware CLI wait) poll handles without
-  /// parking a thread per job.
+  /// Non-blocking: true once wait() would return immediately. Lets an
+  /// event loop woken by JobRequest::on_resolved (ServeLoop) find which
+  /// handles resolved without parking a thread per job.
   bool ready() const {
     return future_.valid() &&
            future_.wait_for(std::chrono::seconds(0)) ==
@@ -226,6 +236,10 @@ class JobScheduler {
   bool draining() const;
 
   ServiceStats stats() const;
+  /// stats() without the latency quantiles (p50/p95/p99 stay 0): O(1),
+  /// for hot paths such as ServeLoop's Ping, where stats() would copy and
+  /// sort every latency ever recorded.
+  ServiceStats counters() const;
   PlanCache& cache() { return cache_; }
 
  private:
@@ -237,6 +251,9 @@ class JobScheduler {
 
   void worker_loop();
   JobOutcome execute(Queued& job);
+  /// Every counter under one lock; copies the latency log only when
+  /// `latencies` is non-null.
+  ServiceStats snapshot(std::vector<double>* latencies) const;
 
   Config cfg_;
   PlanCache cache_;

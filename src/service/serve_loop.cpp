@@ -21,6 +21,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// poll(2) timeout. Results and drain/abort requests wake the loop
+/// through the wake pipe; this only bounds how late the read/write/idle
+/// timeouts and the drain-grace check can fire.
+constexpr int kPollBoundMs = 100;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -39,6 +44,27 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
+/// Drain/abort requests and job resolutions write a byte, the loop
+/// drains it. Closed with the last owner, so a callback that runs after
+/// the loop exited never writes to a closed (or reused) descriptor and
+/// never hits a pipe without a reader.
+struct ServeLoop::WakePipe {
+  int rd = -1;
+  int wr = -1;
+  WakePipe() = default;
+  WakePipe(const WakePipe&) = delete;
+  WakePipe& operator=(const WakePipe&) = delete;
+  ~WakePipe() {
+    if (rd >= 0) ::close(rd);
+    if (wr >= 0) ::close(wr);
+  }
+  /// Non-blocking: a full pipe (EAGAIN) already guarantees a wake.
+  void poke() const {
+    const char b = 'w';
+    (void)!::write(wr, &b, 1);
+  }
+};
+
 ServeLoop::ServeLoop(JobScheduler& sched, SubmitHandler handler,
                      ServeConfig cfg)
     : sched_(sched), handler_(std::move(handler)), cfg_(std::move(cfg)) {}
@@ -47,8 +73,6 @@ ServeLoop::~ServeLoop() {
   if (running_.load()) request_abort();
   wait();
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
 }
 
 bool ServeLoop::start(std::string* error) {
@@ -62,10 +86,12 @@ bool ServeLoop::start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
-  wake_rd_ = pipefd[0];
-  wake_wr_ = pipefd[1];
-  set_nonblocking(wake_rd_);
-  set_nonblocking(wake_wr_);
+  auto wake = std::make_shared<WakePipe>();
+  wake->rd = pipefd[0];
+  wake->wr = pipefd[1];
+  set_nonblocking(wake->rd);
+  set_nonblocking(wake->wr);
+  wake_ = std::move(wake);
   running_.store(true);
   thread_ = std::thread([this] { run(); });
   return true;
@@ -73,19 +99,13 @@ bool ServeLoop::start(std::string* error) {
 
 void ServeLoop::request_drain() {
   drain_requested_.store(true);
-  if (wake_wr_ >= 0) {
-    const char b = 'd';
-    (void)!::write(wake_wr_, &b, 1);
-  }
+  if (wake_) wake_->poke();
 }
 
 void ServeLoop::request_abort() {
   abort_requested_.store(true);
   drain_requested_.store(true);
-  if (wake_wr_ >= 0) {
-    const char b = 'a';
-    (void)!::write(wake_wr_, &b, 1);
-  }
+  if (wake_) wake_->poke();
 }
 
 void ServeLoop::wait() {
@@ -245,7 +265,7 @@ void ServeLoop::parse_frames(Conn& c) {
 }
 
 net::PongBody ServeLoop::make_pong() {
-  const ServiceStats s = sched_.stats();
+  const ServiceStats s = sched_.counters();
   net::PongBody pong;
   pong.queue_depth = s.queue_depth;
   pong.in_flight = s.in_flight;
@@ -347,9 +367,11 @@ void ServeLoop::handle_submit(Conn& c, std::uint64_t seq,
     ++stats_.parse_rejects;
     return;
   }
+  JobRequest& req = b.requests.front();
+  req.on_resolved = [wake = wake_] { wake->poke(); };
   Pending p;
   p.seq = seq;
-  p.handle = sched_.submit(std::move(b.requests.front()));
+  p.handle = sched_.submit(std::move(req));
   c.pending.push_back(std::move(p));
 }
 
@@ -493,7 +515,7 @@ void ServeLoop::run() {
 
     // ---- poll set ----------------------------------------------------
     fds.clear();
-    fds.push_back({wake_rd_, POLLIN, 0});
+    fds.push_back({wake_->rd, POLLIN, 0});
     if (listen_fd_ >= 0) fds.push_back({listen_fd_, POLLIN, 0});
     const std::size_t conn_base = fds.size();
     for (Conn& c : conns_) {
@@ -501,14 +523,14 @@ void ServeLoop::run() {
       if (c.woff < c.wbuf.size()) events |= POLLOUT;
       fds.push_back({c.fd, events, 0});
     }
-    const bool busy = total_pending() > 0 || draining_active_;
-    const int timeout = busy ? cfg_.poll_interval_ms : 100;
-    const int rc = ::poll(fds.data(), fds.size(), timeout);
+    const int rc = ::poll(fds.data(), fds.size(), kPollBoundMs);
     if (rc < 0 && errno != EINTR) break;  // unrecoverable poll failure
 
+    // Drain the wake bytes before reaping: a job resolved after this
+    // read leaves a fresh byte behind, so the next poll returns at once.
     if (fds[0].revents & POLLIN) {
       char buf[64];
-      while (::read(wake_rd_, buf, sizeof(buf)) > 0) {}
+      while (::read(wake_->rd, buf, sizeof(buf)) > 0) {}
     }
     if (listen_fd_ >= 0 && conn_base >= 2 && (fds[1].revents & POLLIN))
       accept_ready();

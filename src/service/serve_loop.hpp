@@ -27,6 +27,14 @@
 //   * forced abort (request_abort, second signal): queued jobs are
 //     rejected wholesale and every connection is torn down now.
 //
+// Results are delivered on completion, not on a timer: every submitted
+// job carries a JobRequest::on_resolved callback that writes one byte to
+// the loop's wake pipe, so poll(2) returns as soon as a result exists.
+// The pipe is shared with those callbacks and closes only when the last
+// one is gone — a job still running after the loop exited can always
+// signal it. The poll timeout is only the granularity of the
+// read/write/idle timeouts and the drain-grace check.
+//
 // Job lines arriving in Submit frames are materialized by a caller-
 // provided handler (canonically service::JobBuilder with
 // `allow_file_io = false`), so the wire path shares one hardened parser
@@ -38,6 +46,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -67,8 +76,6 @@ struct ServeConfig {
   /// Connections with nothing outstanding are closed after this (0 =
   /// keep forever).
   int idle_timeout_ms = 120000;
-  /// Poll granularity while jobs are outstanding (result reaping).
-  int poll_interval_ms = 10;
   /// Upper bound on a graceful drain before remaining connections are
   /// torn down anyway.
   double drain_grace_seconds = 30.0;
@@ -168,13 +175,16 @@ class ServeLoop {
   void close_conn(std::size_t index);
   std::size_t total_pending() const;
 
+  /// Self-pipe that wakes poll(2), shared with every in-flight job's
+  /// resolution callback (defined in serve_loop.cpp).
+  struct WakePipe;
+
   JobScheduler& sched_;
   SubmitHandler handler_;
   ServeConfig cfg_;
 
   int listen_fd_ = -1;
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
+  std::shared_ptr<const WakePipe> wake_;
   std::uint16_t port_ = 0;
   std::thread thread_;
   std::atomic<bool> running_{false};

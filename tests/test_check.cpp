@@ -670,11 +670,13 @@ TEST(PlanWalk, StatsAgreeWithInspectorBookkeeping) {
   EXPECT_EQ(iters, plan.shape.num_edges);
   EXPECT_EQ(refs, plan.shape.num_edges * plan.shape.num_refs);
   EXPECT_GT(folds, 0u);
-  // byte_size == struct headers + the shared walk's per-proc bytes.
+  // byte_size == struct headers + the shared walk's per-proc bytes + the
+  // layout permutations (empty unless EARTHRED_FORCE_LAYOUT applies one).
   EXPECT_EQ(plan.byte_size(),
             sizeof(core::ExecutionPlan) +
                 plan.insp.capacity() * sizeof(inspector::InspectorResult) +
-                bytes);
+                bytes + plan.perm.footprint_bytes() +
+                plan.perm_inv.footprint_bytes());
 }
 
 // --- service admission --------------------------------------------------

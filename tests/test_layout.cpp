@@ -211,6 +211,28 @@ TEST(Layout, AutoFallsBackAndRcmRefusesOnNonRenumberableKernels) {
   }
 }
 
+TEST(Layout, EnvForcedRcmFallsBackOnNonRenumberableKernels) {
+  // The env override rewrites default requests wholesale, so a kernel
+  // that cannot renumber gets the paper-faithful plan, like `auto`.
+  const NoRenumberKernel kernel(mesh::make_geometric_mesh({96, 500, 21}));
+  PlanOptions opt;
+  opt.num_procs = 4;
+  opt.k = 2;
+  ::setenv("EARTHRED_FORCE_LAYOUT", "rcm", 1);
+  const ExecutionPlan plan = build_execution_plan(kernel, opt);
+  ::unsetenv("EARTHRED_FORCE_LAYOUT");
+  EXPECT_EQ(plan.options.layout, LayoutKind::Rcm);  // matches the plan key
+  EXPECT_EQ(plan.applied_layout, LayoutKind::None);
+  EXPECT_TRUE(plan.perm.empty());
+  EXPECT_EQ(plan.tile_iters, 0u);
+
+  // The fallen-back base patches in place; the rebuild path would re-read
+  // layout=rcm as an explicit request and refuse.
+  const std::vector<std::uint32_t> changed = {0, 5};
+  const ExecutionPlan patched = patch_execution_plan(kernel, plan, changed);
+  EXPECT_EQ(patched.applied_layout, LayoutKind::None);
+}
+
 TEST(Layout, PatchOnLayoutBaseRebuildsBitIdentically) {
   // patch_execution_plan cannot patch through a renumbering (the mutation
   // changes the reference graph the permutation was computed from), so on

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstring>
@@ -268,10 +269,9 @@ TEST(ServeLoop, SubmitPingAndRemoteDigestMatchesInProcessRun) {
 }
 
 TEST(ServeLoop, ConnectionsAcceptedMidJobAreServed) {
-  // While a job is in flight the loop polls on its short busy tick, and
-  // one accept_ready() call can append several connections at once. That
-  // round must walk only the connections it polled; the newcomers are
-  // served from the next round on.
+  // While a job is in flight, one accept_ready() call can append several
+  // connections at once. That round must walk only the connections it
+  // polled; the newcomers are served from the next round on.
   TestServer server;
   ASSERT_TRUE(server.start());
 
@@ -439,6 +439,78 @@ TEST(ServeLoop, DrainRejectsNewWorkThenExits) {
   const ServeStats stats = server.loop->stats();
   EXPECT_EQ(stats.open_connections(), 0u);
   EXPECT_GE(stats.shed_draining, 1u);
+}
+
+TEST(ServeLoop, JobCompletionWakesTheLoopForEachWarmRoundTrip) {
+  // A resolved job wakes the loop through its resolution callback, so a
+  // warm round trip costs the job plus the transport. A loop that reaps
+  // finished jobs on a poll timeout pays at least that timeout per job.
+  TestServer server;
+  ASSERT_TRUE(server.start());
+  net::Client client(client_config(server.port()));
+  constexpr const char* kWarm =
+      "kernel=fig1 nodes=80 edges=400 procs=1 k=2 sweeps=1 name=warm";
+  const net::Client::Reply cold = client.submit(kWarm);  // builds the plan
+  ASSERT_TRUE(cold.ok()) << cold.code << ": " << cold.detail;
+
+  std::vector<double> round_trip_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const net::Client::Reply r = client.submit(kWarm);
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    ASSERT_TRUE(r.ok()) << r.code << ": " << r.detail;
+    EXPECT_EQ(static_cast<JobState>(r.result.state), JobState::Done);
+    EXPECT_EQ(r.result.cache_hit, 1u);
+  }
+  std::sort(round_trip_ms.begin(), round_trip_ms.end());
+  const double median = round_trip_ms[round_trip_ms.size() / 2];
+  EXPECT_LT(median, 5.0) << "fastest " << round_trip_ms.front()
+                         << " ms, slowest " << round_trip_ms.back() << " ms";
+
+  server.drain();
+  EXPECT_EQ(server.loop->stats().results_sent, 21u);
+}
+
+TEST(ServeLoop, AbortAndDestructionWithJobsRunningIsClean) {
+  // request_abort and destruction while jobs run: queued jobs are
+  // rejected, in-flight ones finish on scheduler workers and call back
+  // into the wake pipe as (or after) the loop exits. The pipe is shared
+  // with those callbacks, so this must stay clean under ASan and TSan.
+  TestServer server(ServeConfig{}, sched_config(2));
+  ASSERT_TRUE(server.start());
+
+  constexpr int kJobs = 5;
+  std::vector<std::unique_ptr<net::TcpStream>> streams;
+  for (int i = 0; i < kJobs; ++i) {
+    std::string error;
+    streams.push_back(
+        net::TcpStream::connect("127.0.0.1", server.port(), 1000, &error));
+    ASSERT_NE(streams.back(), nullptr) << error;
+    support::ByteWriter w;
+    net::put_string(w, "kernel=euler nodes=20000 edges=100000 procs=2 k=2 "
+                       "sweeps=20 name=j" + std::to_string(i));
+    const auto frame =
+        net::encode_frame(net::FrameType::Submit, 1, w.bytes());
+    ASSERT_TRUE(
+        streams.back()->write_all(frame.data(), frame.size(), 1000).ok());
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.sched.counters().in_flight == 0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GT(server.sched.counters().in_flight, 0u);
+
+  server.loop->request_abort();
+  server.loop.reset();  // joins the loop thread, closes its sockets
+  streams.clear();
+  server.sched.drain();
+  const service::ServiceStats s = server.sched.stats();
+  EXPECT_EQ(s.completed + s.failed + s.rejected, s.submitted);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_GE(s.completed, 1u);
 }
 
 // ---- the retry / breaker client ----------------------------------------

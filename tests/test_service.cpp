@@ -5,7 +5,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "kernels/moldyn.hpp"
 #include "mesh/generators.hpp"
 #include "service/job_scheduler.hpp"
+#include "service/plan_cache.hpp"
 #include "support/check.hpp"
 
 namespace earthred::service {
@@ -507,6 +511,193 @@ TEST(JobSchedulerDrain, AbortQueuedResolvesEveryHandleWithReason) {
   EXPECT_EQ(blocker_handle.wait().state, JobState::Done)
       << blocker_handle.wait().error;
   EXPECT_EQ(sched.stats().pending(), 0u);
+}
+
+// --- resolution callback: one call per job, after the handle is ready ---
+
+/// Watches one job's JobRequest::on_resolved. The callback waits until
+/// the test has published the handle (submit() returns it only after the
+/// job is queued, and a fast worker may resolve it before that), then
+/// records whether the handle was already ready.
+struct ResolutionProbe {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::optional<JobHandle> handle;
+  int calls = 0;
+  bool ready_at_every_call = true;
+
+  static std::shared_ptr<ResolutionProbe> attach(JobRequest& req) {
+    auto probe = std::make_shared<ResolutionProbe>();
+    req.on_resolved = [probe] {
+      std::unique_lock<std::mutex> lock(probe->mutex);
+      probe->cv.wait(lock, [&] { return probe->handle.has_value(); });
+      probe->ready_at_every_call =
+          probe->ready_at_every_call && probe->handle->ready();
+      ++probe->calls;
+      probe->cv.notify_all();
+    };
+    return probe;
+  }
+
+  JobHandle publish(JobHandle h) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      handle = h;
+    }
+    cv.notify_all();
+    return h;
+  }
+
+  /// Call count once the first call has happened (bounded wait).
+  int calls_after_first() {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, std::chrono::seconds(30), [&] { return calls > 0; });
+    return calls;
+  }
+};
+
+std::shared_ptr<const core::PhasedKernel> small_fig1(std::uint32_t seed) {
+  return std::make_shared<kernels::Fig1Kernel>(
+      kernels::Fig1Kernel::with_integer_values(
+          mesh::make_geometric_mesh({100, 500, seed})));
+}
+
+/// Submits a long job to a one-worker scheduler and returns once it runs.
+JobHandle occupy_the_worker(JobScheduler& sched) {
+  JobRequest blocker;
+  blocker.kernel = std::make_shared<kernels::EulerKernel>(
+      mesh::make_geometric_mesh({2000, 12000, 8}));
+  blocker.name = "blocker";
+  blocker.plan = plan_opts(4, 2);
+  blocker.sweeps = 4000;
+  blocker.deadline_seconds = 60.0;
+  const JobHandle h = sched.submit(std::move(blocker));
+  for (int i = 0; i < 500 && sched.counters().in_flight == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  return h;
+}
+
+TEST(ResolutionCallback, FiresOnceAfterReadyForDoneFailedAndVerifierReject) {
+  std::vector<std::shared_ptr<ResolutionProbe>> probes;
+  {
+    JobScheduler::Config cfg;
+    cfg.workers = 2;
+    JobScheduler sched(cfg);
+
+    JobRequest done;
+    done.kernel = small_fig1(14);
+    done.plan = plan_opts(2, 2);
+    done.fingerprint = kernel_fingerprint(*done.kernel);
+    JobRequest foreign = done;  // same fingerprint, different mesh
+    foreign.kernel = small_fig1(15);
+    foreign.plan.verify = true;
+    probes.push_back(ResolutionProbe::attach(done));
+    const JobHandle h_done =
+        probes.back()->publish(sched.submit(std::move(done)));
+    EXPECT_EQ(h_done.wait().state, JobState::Done) << h_done.wait().error;
+
+    // The cache serves the first mesh's plan under the shared
+    // fingerprint; the verifier's kernel cross-check refuses it.
+    probes.push_back(ResolutionProbe::attach(foreign));
+    const JobHandle h_reject =
+        probes.back()->publish(sched.submit(std::move(foreign)));
+    EXPECT_EQ(h_reject.wait().state, JobState::Rejected);
+    EXPECT_NE(h_reject.wait().error.find("E-PLAN-REF-MISMATCH"),
+              std::string::npos)
+        << h_reject.wait().error;
+
+    JobRequest failed;
+    failed.kernel = small_fig1(11);
+    failed.plan = plan_opts(4, 2);
+    failed.plan.strategy = core::StrategyKind::Phased;  // ring fault
+    failed.sweeps = 3;
+    failed.deadline_seconds = 0.3;
+    failed.lose_forward = {true, 0, 0, 0};
+    probes.push_back(ResolutionProbe::attach(failed));
+    const JobHandle h_failed =
+        probes.back()->publish(sched.submit(std::move(failed)));
+    EXPECT_EQ(h_failed.wait().state, JobState::Failed);
+
+    for (const auto& p : probes) EXPECT_EQ(p->calls_after_first(), 1);
+  }  // ~JobScheduler joins the workers: no call can still be pending
+  for (const auto& p : probes) {
+    EXPECT_EQ(p->calls, 1);
+    EXPECT_TRUE(p->ready_at_every_call);
+  }
+}
+
+/// Queues `n` small jobs with probes behind a running blocker.
+std::vector<std::shared_ptr<ResolutionProbe>> queue_probed(
+    JobScheduler& sched, int n, double deadline_seconds) {
+  std::vector<std::shared_ptr<ResolutionProbe>> probes;
+  for (int j = 0; j < n; ++j) {
+    JobRequest req;
+    req.kernel = small_fig1(14);
+    req.plan = plan_opts(2, 2);
+    req.deadline_seconds = deadline_seconds;
+    probes.push_back(ResolutionProbe::attach(req));
+    probes.back()->publish(sched.submit(std::move(req)));
+  }
+  return probes;
+}
+
+TEST(ResolutionCallback, FiresOnceForDrainExpiryAtPickup) {
+  std::vector<std::shared_ptr<ResolutionProbe>> probes;
+  {
+    JobScheduler::Config cfg;
+    cfg.workers = 1;
+    JobScheduler sched(cfg);
+    const JobHandle blocker = occupy_the_worker(sched);
+    ASSERT_EQ(sched.counters().in_flight, 1u);
+    probes = queue_probed(sched, 3, 0.001);
+    sched.begin_drain();
+    EXPECT_EQ(blocker.wait().state, JobState::Done);
+    for (const auto& p : probes) {
+      EXPECT_EQ(p->calls_after_first(), 1);
+      EXPECT_EQ(p->handle->wait().state, JobState::Rejected);
+      EXPECT_NE(p->handle->wait().error.find("E-SVC-DEADLINE"),
+                std::string::npos);
+    }
+  }
+  for (const auto& p : probes) {
+    EXPECT_EQ(p->calls, 1);
+    EXPECT_TRUE(p->ready_at_every_call);
+  }
+}
+
+TEST(ResolutionCallback, FiresOnceForAbortQueuedOnTheCallersThread) {
+  std::vector<std::shared_ptr<ResolutionProbe>> probes;
+  {
+    JobScheduler::Config cfg;
+    cfg.workers = 1;
+    JobScheduler sched(cfg);
+    const JobHandle blocker = occupy_the_worker(sched);
+    ASSERT_EQ(sched.counters().in_flight, 1u);
+    probes = queue_probed(sched, 3, 60.0);
+    sched.abort_queued("forced shutdown (test)");
+    // abort_queued resolves and calls back before it returns.
+    for (const auto& p : probes) {
+      const std::lock_guard<std::mutex> lock(p->mutex);
+      EXPECT_EQ(p->calls, 1);
+    }
+    EXPECT_EQ(blocker.wait().state, JobState::Done);
+  }
+  for (const auto& p : probes) {
+    EXPECT_EQ(p->calls, 1);
+    EXPECT_TRUE(p->ready_at_every_call);
+    EXPECT_EQ(p->handle->wait().state, JobState::Rejected);
+  }
+}
+
+TEST(ResolutionCallback, AdmissionRejectFiresInsideSubmit) {
+  JobScheduler sched;
+  int calls = 0;
+  JobRequest req;  // null kernel: refused at admission
+  req.on_resolved = [&calls] { ++calls; };
+  const JobHandle h = sched.submit(std::move(req));
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(h.ready());
+  EXPECT_EQ(h.wait().state, JobState::Rejected);
 }
 
 }  // namespace

@@ -161,11 +161,13 @@
 // second signal exits 3, so scripts can tell a forced shutdown from a
 // clean (even if partly failed) drain.
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -730,6 +732,16 @@ int run_service(std::istream& jobs_in, const Options& opt) {
 
   service::install_shutdown_signals();
 
+  // Resolution count, bumped by every job's on_resolved callback. Shared
+  // with the callbacks: the last one may still be notifying when the
+  // wait below returns.
+  struct Resolutions {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t count = 0;
+  };
+  const auto resolutions = std::make_shared<Resolutions>();
+
   struct ParseReject {
     std::string name, code, detail;
   };
@@ -756,18 +768,32 @@ int run_service(std::istream& jobs_in, const Options& opt) {
         req.plan.strategy = default_strategy;
       if (req.plan.layout == core::LayoutKind::None)
         req.plan.layout = default_layout;
+      req.on_resolved = [resolutions] {
+        {
+          const std::lock_guard<std::mutex> lock(resolutions->mutex);
+          ++resolutions->count;
+        }
+        resolutions->cv.notify_one();
+      };
       handles.push_back(sched.submit(std::move(req)));
     }
   }
 
-  // Signal-aware wait: poll readiness instead of blocking, so the first
-  // signal can start a drain (in-flight jobs finish, expired queued jobs
-  // reject at pickup) and a second can abort what is still queued.
+  // Signal-aware wait: sleep until every job has resolved, waking at
+  // least every 50 ms (a signal handler cannot notify a condition
+  // variable) so the first signal can start a drain (in-flight jobs
+  // finish, expired queued jobs reject at pickup) and a second can abort
+  // what is still queued.
   bool forced = false;
   int signals_seen = 0;
-  std::size_t unresolved = handles.size();
-  std::vector<bool> resolved(handles.size(), false);
-  while (unresolved > 0) {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(resolutions->mutex);
+      if (resolutions->cv.wait_for(
+              lock, std::chrono::milliseconds(50),
+              [&] { return resolutions->count == handles.size(); }))
+        break;
+    }
     const int sigs = service::shutdown_signal_count();
     if (sigs != signals_seen) {
       if (signals_seen == 0 && sigs >= 1) {
@@ -783,15 +809,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
       }
       signals_seen = sigs;
     }
-    bool progressed = false;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (resolved[i] || !handles[i].ready()) continue;
-      resolved[i] = true;
-      --unresolved;
-      progressed = true;
-    }
-    if (unresolved > 0 && !progressed)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 
   // Every handle resolves — rejected jobs report their reason here rather

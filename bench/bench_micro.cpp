@@ -131,13 +131,22 @@ void BM_MachineSyncRing(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineSyncRing);
 
+// Mesh synthesis, the `mesh.generate_s` stage of a served job line: the
+// paper's 2,800-node euler mesh, and the 30k-node / 180k-edge mesh that
+// perfbench's plan-churn workload synthesizes for every new or mutated
+// mesh.
 void BM_GeometricMeshGen(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  const auto edges = static_cast<std::uint64_t>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        mesh::make_geometric_mesh({2800, 17377, 42}));
+        mesh::make_geometric_mesh({nodes, edges, 42}));
   }
 }
-BENCHMARK(BM_GeometricMeshGen);
+BENCHMARK(BM_GeometricMeshGen)
+    ->Args({2800, 17377})
+    ->Args({30000, 180000})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace earthred

@@ -17,9 +17,18 @@ struct Candidate {
   std::uint32_t a, b;
 };
 
+/// Cell offsets that follow (0, 0, 0) in lexicographic (dx, dy, dz) order:
+/// with the cell itself, the half of the 27-cell stencil that visits each
+/// unordered pair of neighbouring cells exactly once.
+constexpr std::array<std::array<std::int64_t, 3>, 13> kForwardCells{{
+    {0, 0, 1},   {0, 1, -1},  {0, 1, 0},  {0, 1, 1},   {1, -1, -1},
+    {1, -1, 0},  {1, -1, 1},  {1, 0, -1}, {1, 0, 0},   {1, 0, 1},
+    {1, 1, -1},  {1, 1, 0},   {1, 1, 1},
+}};
+
 /// Enumerates all pairs within `radius` using a uniform cell grid over the
 /// coordinate bounding box, then returns the `target` shortest (ties broken
-/// by index pair, so the result is deterministic).
+/// by index pair, so the result is deterministic), ordered by (a, b).
 std::vector<Edge> k_shortest_pairs(
     const std::vector<std::array<double, 3>>& pts, std::uint64_t target) {
   const std::uint32_t n = static_cast<std::uint32_t>(pts.size());
@@ -37,8 +46,8 @@ std::vector<Edge> k_shortest_pairs(
                         std::max({hi[1] - lo[1], 1e-12}) *
                         std::max({hi[2] - lo[2], 1e-12});
   // Start from the radius at which the expected number of in-range pairs
-  // (n^2 * sphere/volume / 2) is ~1.5x the target, then grow until enough
-  // candidates are found.
+  // (n^2 * sphere/volume / 2) is 1.5x (planar) or 2.25x (3D) the target,
+  // then grow until enough candidates are found.
   const bool planar = (hi[2] - lo[2]) < 1e-9;
   double radius;
   if (planar) {
@@ -53,7 +62,11 @@ std::vector<Edge> k_shortest_pairs(
                         static_cast<double>(n)));
   }
 
+  // Boundary effects keep real counts at or below the expected count, so
+  // one reservation usually serves every push.
   std::vector<Candidate> cands;
+  cands.reserve(static_cast<std::size_t>(
+      (planar ? 1.5 : 2.25) * static_cast<double>(target)));
   for (int attempt = 0; attempt < 24; ++attempt) {
     cands.clear();
     const double r2 = radius * radius;
@@ -65,45 +78,53 @@ std::vector<Edge> k_shortest_pairs(
     const std::int64_t ny = cell_of(hi, 1) + 1;
     const std::int64_t nz = cell_of(hi, 2) + 1;
     auto key = [&](std::int64_t cx, std::int64_t cy, std::int64_t cz) {
-      return (cx * ny + cy) * nz + cz;
+      return static_cast<std::size_t>((cx * ny + cy) * nz + cz);
     };
-    // Bucket points by cell (counting sort into a CSR layout).
+    auto key_of = [&](const std::array<double, 3>& p) {
+      return key(cell_of(p, 0), cell_of(p, 1), cell_of(p, 2));
+    };
+    // Bucket points by cell (counting sort into a CSR layout). The
+    // placement pass leaves start[c] at the end of cell c, so the offsets
+    // are shifted back by one cell afterwards.
     const auto ncells = static_cast<std::size_t>(nx * ny * nz);
-    std::vector<std::uint32_t> count(ncells + 1, 0);
-    std::vector<std::size_t> pkey(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      pkey[i] = static_cast<std::size_t>(
-          key(cell_of(pts[i], 0), cell_of(pts[i], 1), cell_of(pts[i], 2)));
-      ++count[pkey[i] + 1];
-    }
-    for (std::size_t c = 1; c <= ncells; ++c) count[c] += count[c - 1];
+    std::vector<std::uint32_t> start(ncells + 1, 0);
+    for (const auto& p : pts) ++start[key_of(p) + 1];
+    for (std::size_t c = 1; c <= ncells; ++c) start[c] += start[c - 1];
     std::vector<std::uint32_t> bucket(n);
-    {
-      std::vector<std::uint32_t> cur(count.begin(), count.end() - 1);
-      for (std::uint32_t i = 0; i < n; ++i) bucket[cur[pkey[i]]++] = i;
-    }
-    // For each point, scan the 27 neighbouring cells; count each pair once.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::int64_t cx = cell_of(pts[i], 0);
-      const std::int64_t cy = cell_of(pts[i], 1);
-      const std::int64_t cz = cell_of(pts[i], 2);
-      for (std::int64_t dx = -1; dx <= 1; ++dx) {
-        for (std::int64_t dy = -1; dy <= 1; ++dy) {
-          for (std::int64_t dz = -1; dz <= 1; ++dz) {
-            const std::int64_t ox = cx + dx, oy = cy + dy, oz = cz + dz;
-            if (ox < 0 || oy < 0 || oz < 0 || ox >= nx || oy >= ny ||
-                oz >= nz)
+    for (std::uint32_t i = 0; i < n; ++i) bucket[start[key_of(pts[i])]++] = i;
+    for (std::size_t c = ncells; c > 0; --c) start[c] = start[c - 1];
+    start[0] = 0;
+
+    // Pairs (bucket[s], bucket[t]) for t in [t0, t1). The distance is the
+    // same bit for bit whichever endpoint comes first: (x-y)^2 == (y-x)^2.
+    const auto add_pairs = [&](std::uint32_t s, std::uint32_t t0,
+                               std::uint32_t t1) {
+      const std::uint32_t i = bucket[s];
+      const std::array<double, 3> p = pts[i];
+      for (std::uint32_t t = t0; t < t1; ++t) {
+        const std::uint32_t j = bucket[t];
+        const double ddx = p[0] - pts[j][0];
+        const double ddy = p[1] - pts[j][1];
+        const double ddz = p[2] - pts[j][2];
+        const double d2 = ddx * ddx + ddy * ddy + ddz * ddz;
+        if (d2 <= r2)
+          cands.push_back(Candidate{d2, std::min(i, j), std::max(i, j)});
+      }
+    };
+    for (std::int64_t cx = 0; cx < nx; ++cx) {
+      for (std::int64_t cy = 0; cy < ny; ++cy) {
+        for (std::int64_t cz = 0; cz < nz; ++cz) {
+          const std::size_t c = key(cx, cy, cz);
+          const std::uint32_t b = start[c], e = start[c + 1];
+          if (b == e) continue;
+          for (std::uint32_t s = b; s < e; ++s) add_pairs(s, s + 1, e);
+          for (const auto& d : kForwardCells) {
+            const std::int64_t ox = cx + d[0], oy = cy + d[1], oz = cz + d[2];
+            if (oy < 0 || oz < 0 || ox >= nx || oy >= ny || oz >= nz)
               continue;
-            const auto c = static_cast<std::size_t>(key(ox, oy, oz));
-            for (std::uint32_t s = count[c]; s < count[c + 1]; ++s) {
-              const std::uint32_t j = bucket[s];
-              if (j <= i) continue;
-              const double ddx = pts[i][0] - pts[j][0];
-              const double ddy = pts[i][1] - pts[j][1];
-              const double ddz = pts[i][2] - pts[j][2];
-              const double d2 = ddx * ddx + ddy * ddy + ddz * ddz;
-              if (d2 <= r2) cands.push_back(Candidate{d2, i, j});
-            }
+            const std::size_t o = key(ox, oy, oz);
+            for (std::uint32_t s = b; s < e; ++s)
+              add_pairs(s, start[o], start[o + 1]);
           }
         }
       }
@@ -114,23 +135,31 @@ std::vector<Edge> k_shortest_pairs(
   ER_CHECK_MSG(cands.size() >= target,
                "could not find enough candidate pairs");
 
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& x, const Candidate& y) {
-              return std::tie(x.dist2, x.a, x.b) <
-                     std::tie(y.dist2, y.a, y.b);
-            });
-  std::vector<Edge> edges;
-  edges.reserve(target);
-  for (std::uint64_t e = 0; e < target; ++e)
-    edges.push_back(Edge{std::min(cands[e].a, cands[e].b),
-                         std::max(cands[e].a, cands[e].b)});
+  // Pairs are unique, so (dist2, a, b) is a strict total order and the
+  // `target` smallest form one well-defined set.
+  std::nth_element(cands.begin(),
+                   cands.begin() + static_cast<std::ptrdiff_t>(target),
+                   cands.end(), [](const Candidate& x, const Candidate& y) {
+                     return std::tie(x.dist2, x.a, x.b) <
+                            std::tie(y.dist2, y.a, y.b);
+                   });
   // Order edges by endpoint, the way mesh generators and neighbour-list
   // builders emit them: iteration order then correlates with node
   // numbering, which is what makes a *block* distribution of iterations
   // spatially coherent (and the paper's block-vs-cyclic contrast real).
-  std::sort(edges.begin(), edges.end(), [](Edge x, Edge y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  });
+  // Counting sort by `a`, then each node's short run by `b`.
+  std::vector<std::uint64_t> run_end(static_cast<std::size_t>(n) + 1, 0);
+  for (std::uint64_t e = 0; e < target; ++e) ++run_end[cands[e].a + 1];
+  for (std::uint32_t a = 1; a <= n; ++a) run_end[a] += run_end[a - 1];
+  std::vector<Edge> edges(target);
+  for (std::uint64_t e = 0; e < target; ++e)
+    edges[run_end[cands[e].a]++] = Edge{cands[e].a, cands[e].b};
+  auto run = edges.begin();
+  for (std::uint32_t a = 0; a < n; ++a) {
+    const auto next = edges.begin() + static_cast<std::ptrdiff_t>(run_end[a]);
+    std::sort(run, next, [](Edge x, Edge y) { return x.b < y.b; });
+    run = next;
+  }
   return edges;
 }
 
@@ -236,21 +265,31 @@ void rebuild_interactions(Mesh& m, std::uint64_t num_edges) {
   }
   // Incremental neighbour-list maintenance: pairs that survive the rebuild
   // keep their old slot; dropped pairs' slots are refilled with the new
-  // pairs. This keeps the iteration->pair mapping stable so downstream
-  // incremental preprocessing (update_light_inspector) touches only the
-  // interactions that actually changed.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> fresh_set;
-  for (const Edge& e : fresh) fresh_set.emplace(e.a, e.b);
+  // pairs in (a, b) order. This keeps the iteration->pair mapping stable so
+  // downstream incremental preprocessing (update_light_inspector) touches
+  // only the interactions that actually changed.
+  const auto by_pair = [](Edge x, Edge y) {
+    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  };
+  std::vector<bool> kept(fresh.size(), false);
+  std::size_t survivors = 0;
   std::vector<std::size_t> vacated;
   for (std::size_t i = 0; i < m.edges.size(); ++i) {
-    const auto key = std::make_pair(m.edges[i].a, m.edges[i].b);
-    if (!fresh_set.erase(key)) vacated.push_back(i);
+    const auto it =
+        std::lower_bound(fresh.begin(), fresh.end(), m.edges[i], by_pair);
+    const auto f = static_cast<std::size_t>(it - fresh.begin());
+    if (it != fresh.end() && *it == m.edges[i] && !kept[f]) {
+      kept[f] = true;
+      ++survivors;
+    } else {
+      vacated.push_back(i);
+    }
   }
-  ER_ENSURES(vacated.size() == fresh_set.size());
-  auto it = fresh_set.begin();
+  ER_ENSURES(vacated.size() == fresh.size() - survivors);
+  std::size_t f = 0;
   for (const std::size_t slot : vacated) {
-    m.edges[slot] = Edge{it->first, it->second};
-    ++it;
+    while (kept[f]) ++f;
+    m.edges[slot] = fresh[f++];
   }
   m.validate();
 }

@@ -46,6 +46,15 @@ std::unique_ptr<core::PhasedKernel> make_kernel(const std::string& kname,
   throw check_error("unknown kernel '" + kname + "' (euler|moldyn|fig1)");
 }
 
+/// The mesh a make_kernel() kernel was built from.
+const mesh::Mesh& kernel_mesh(const core::PhasedKernel& k) {
+  if (const auto* e = dynamic_cast<const kernels::EulerKernel*>(&k))
+    return e->mesh();
+  if (const auto* m = dynamic_cast<const kernels::MoldynKernel*>(&k))
+    return m->mesh();
+  return dynamic_cast<const kernels::Fig1Kernel&>(k).mesh();
+}
+
 mesh::Mesh mesh_from_options(const Options& opt) {
   const std::string preset = opt.get("preset");
   if (preset == "euler-small") return mesh::euler_mesh_small();
@@ -276,11 +285,11 @@ JobBuild JobBuilder::build(std::string_view line, std::size_t lineno) {
     req.name = jopt.get("name", kname + "#" + std::to_string(lineno));
     request_from_keys(jopt, req);
     if (mutate > 0) {
-      // Adaptive job: rewire `mutate` interactions of the (regenerated)
-      // base mesh and ask the service to patch the base plan instead of
-      // rebuilding. The base fingerprint stays in the kernels map, so a
+      // Adaptive job: rewire `mutate` interactions of a copy of the base
+      // kernel's mesh and ask the service to patch the base plan instead
+      // of rebuilding. The base fingerprint stays in the kernels map, so a
       // prior plain job on the same mesh line seeds the base plan.
-      mesh::Mesh m = mesh_from_options(jopt);
+      mesh::Mesh m = kernel_mesh(*it->second.kernel);
       req.changed_edges = mesh::rewire_edges(
           m, mutate,
           static_cast<std::uint64_t>(jopt.get_int("mutate-seed", 1)));

@@ -262,7 +262,11 @@ void JobScheduler::worker_loop() {
       } else {
         ++failed_;
       }
-      latencies_.push_back(out.total_seconds);
+      if (latencies_.size() < kLatencyWindow)
+        latencies_.push_back(out.total_seconds);
+      else
+        latencies_[latency_next_] = out.total_seconds;
+      latency_next_ = (latency_next_ + 1) % kLatencyWindow;
       if (!job.req.simulated) {
         if (out.cache_hit) {
           warm_setup_sum_ += out.setup_seconds;
@@ -367,6 +371,7 @@ JobOutcome JobScheduler::execute(Queued& job) {
 ServiceStats JobScheduler::stats() const {
   std::vector<double> latencies;
   ServiceStats s = snapshot(&latencies);
+  s.latency_samples = latencies.size();
   if (!latencies.empty()) {
     std::sort(latencies.begin(), latencies.end());
     s.p50_latency = quantile_sorted(latencies, 0.50);

@@ -235,10 +235,14 @@ class JobScheduler {
 
   bool draining() const;
 
+  /// Resolved jobs whose latencies stats() keeps for its quantiles: the
+  /// most recent ones, enough for ten samples beyond p99.
+  static constexpr std::size_t kLatencyWindow = 1024;
+
   ServiceStats stats() const;
-  /// stats() without the latency quantiles (p50/p95/p99 stay 0): O(1),
-  /// for hot paths such as ServeLoop's Ping, where stats() would copy and
-  /// sort every latency ever recorded.
+  /// stats() without the latency quantiles (p50/p95/p99 and
+  /// latency_samples stay 0), for hot paths such as ServeLoop's Ping,
+  /// where stats() would copy and sort the latency window.
   ServiceStats counters() const;
   PlanCache& cache() { return cache_; }
 
@@ -251,7 +255,7 @@ class JobScheduler {
 
   void worker_loop();
   JobOutcome execute(Queued& job);
-  /// Every counter under one lock; copies the latency log only when
+  /// Every counter under one lock; copies the latency window only when
   /// `latencies` is non-null.
   ServiceStats snapshot(std::vector<double>* latencies) const;
 
@@ -281,7 +285,10 @@ class JobScheduler {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t in_flight_ = 0;
-  std::vector<double> latencies_;  ///< total_seconds of resolved jobs
+  /// total_seconds of the last kLatencyWindow resolved jobs, a ring
+  /// whose next write goes to latency_next_ once it is full.
+  std::vector<double> latencies_;
+  std::size_t latency_next_ = 0;
   double cold_setup_sum_ = 0.0;
   double warm_setup_sum_ = 0.0;
   std::uint64_t cold_setups_ = 0;

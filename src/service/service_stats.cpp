@@ -34,6 +34,8 @@ void ServiceStats::print(std::ostream& os, const std::string& title) const {
                  fmt_group(static_cast<long long>(served_privatized))});
   t.add_row({"queue depth", fmt_group(static_cast<long long>(queue_depth))});
   t.add_row({"in flight", fmt_group(static_cast<long long>(in_flight))});
+  t.add_row({"job latency window (jobs)",
+             fmt_group(static_cast<long long>(latency_samples))});
   t.add_row({"job latency p50 (s)", fmt_f(p50_latency, 4)});
   t.add_row({"job latency p95 (s)", fmt_f(p95_latency, 4)});
   t.add_row({"job latency p99 (s)", fmt_f(p99_latency, 4)});

@@ -48,10 +48,14 @@ struct ServiceStats {
   std::uint64_t queue_depth = 0;
   std::uint64_t in_flight = 0;
 
-  // End-to-end latency (submit to completion, seconds) over finished jobs.
+  // End-to-end latency (submit to completion, seconds) over a window of
+  // the most recent resolved jobs: at most JobScheduler::kLatencyWindow,
+  // so a long-lived server keeps fixed memory. The quantiles are exact
+  // over that window; `latency_samples` is its current size.
   double p50_latency = 0.0;
   double p95_latency = 0.0;
   double p99_latency = 0.0;
+  std::uint64_t latency_samples = 0;
   // Setup cost (plan acquisition, seconds) split by cache outcome.
   double mean_cold_setup = 0.0;
   double mean_warm_setup = 0.0;

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "mesh/generators.hpp"
 #include "mesh/mesh.hpp"
+#include "support/binio.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
 
@@ -169,6 +171,51 @@ TEST(Generators, NoDuplicateEdges) {
     const auto key = std::minmax(e.a, e.b);
     EXPECT_TRUE(seen.emplace(key.first, key.second).second);
   }
+}
+
+/// Content hash of a mesh's edge list (in order) and coordinates.
+std::uint64_t mesh_digest(const Mesh& m) {
+  const std::uint64_t h =
+      support::fast_hash64(m.edges.data(), m.edges.size() * sizeof(Edge));
+  return support::fast_hash64(m.coords.data(),
+                              m.coords.size() * sizeof(m.coords[0]), h);
+}
+
+TEST(Generators, GoldenDigestsPinGeneratorOutput) {
+  // Every served job line re-synthesizes its mesh, so plans, persisted
+  // plan files and result digests all depend on these exact edge orders.
+  // The digests were recorded from the full-candidate-sort generator; a
+  // faster k-shortest selection must reproduce them bit for bit.
+  EXPECT_EQ(mesh_digest(euler_mesh_small()), 10207800445083377739ull);
+  EXPECT_EQ(mesh_digest(euler_mesh_large()), 8098330191442861163ull);
+  EXPECT_EQ(mesh_digest(moldyn_small()), 3437074385497056521ull);
+  EXPECT_EQ(mesh_digest(moldyn_large()), 17203495266857094398ull);
+  EXPECT_EQ(mesh_digest(make_geometric_mesh({30000, 180000, 11})),
+            16911140450713503148ull);
+  // These two grow the search radius once: the first radius finds 2,426
+  // of the 2,600 pairs requested, and 5 of the lattice's 200.
+  EXPECT_EQ(mesh_digest(make_geometric_mesh({100, 2600, 5})),
+            16571806365662516372ull);
+  EXPECT_EQ(mesh_digest(make_moldyn_lattice({3, 200, 0.02, 5})),
+            13144131557791327948ull);
+}
+
+TEST(Adaptive, RebuildGoldenDigests) {
+  // Same-count rebuild: surviving pairs keep their slots and vacated slots
+  // are refilled in (a, b) order. Different-count rebuild: replaced.
+  Mesh m = make_moldyn_lattice({4, 1500, 0.02, 5});
+  Xoshiro256 rng(2);
+  jitter_coords(m, 0.1, rng);
+  rebuild_interactions(m, 1500);
+  // Kept slots and refilled ones interleave, so (a, b) order is broken.
+  EXPECT_FALSE(std::is_sorted(m.edges.begin(), m.edges.end(),
+                              [](Edge x, Edge y) {
+                                return std::tie(x.a, x.b) <
+                                       std::tie(y.a, y.b);
+                              }));
+  EXPECT_EQ(mesh_digest(m), 5566674306634497056ull);
+  rebuild_interactions(m, 1400);
+  EXPECT_EQ(mesh_digest(m), 9620272567615012308ull);
 }
 
 TEST(Adaptive, JitterMovesCoords) {

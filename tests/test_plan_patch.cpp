@@ -21,6 +21,8 @@
 #include "kernels/fig1.hpp"
 #include "kernels/moldyn.hpp"
 #include "mesh/generators.hpp"
+#include "service/job_builder.hpp"
+#include "service/plan_cache.hpp"
 #include "support/check.hpp"
 
 namespace earthred {
@@ -243,6 +245,47 @@ TEST(PlanPatch, RejectsMismatchedChangeSets) {
       static_cast<std::uint32_t>(kernel->shape().num_edges)};
   EXPECT_THROW((void)core::patch_execution_plan(*kernel, base, oob),
                precondition_error);
+}
+
+TEST(JobBuilderMutate, MatchesRewiredRegeneratedBaseWithOrWithoutBaseLine) {
+  // A mutate= line rewires the base mesh of its line. Expected values
+  // come from generating that mesh from scratch, the way the line's keys
+  // describe it; the builder must agree whether or not a plain line on
+  // the same mesh came first, and must leave the shared base untouched.
+  const std::string keys = " nodes=600 edges=3000 seed=8 procs=2 k=2";
+  for (const std::string name : {"euler", "moldyn", "fig1"}) {
+    SCOPED_TRACE(name);
+    mesh::Mesh m = mesh::make_geometric_mesh({600, 3000, 8});
+    const std::uint64_t base_fp =
+        service::kernel_fingerprint(*kernel_for(name, m));
+    const std::vector<std::uint32_t> changed = mesh::rewire_edges(m, 40, 5);
+    const std::uint64_t mutated_fp =
+        service::kernel_fingerprint(*kernel_for(name, std::move(m)));
+
+    const std::string base_line = "kernel=" + name + keys;
+    const std::string mutate_line = base_line + " mutate=40 mutate-seed=5";
+    for (const bool prior_base : {false, true}) {
+      SCOPED_TRACE(prior_base ? "after a base line" : "first line");
+      service::JobBuilder builder;
+      if (prior_base) {
+        const service::JobBuild b = builder.build(base_line, 1);
+        ASSERT_TRUE(b.ok()) << b.code << ": " << b.detail;
+        EXPECT_EQ(b.requests[0].fingerprint, base_fp);
+      }
+      const service::JobBuild b = builder.build(mutate_line, 2);
+      ASSERT_TRUE(b.ok()) << b.code << ": " << b.detail;
+      const service::JobRequest& req = b.requests.at(0);
+      EXPECT_EQ(req.changed_edges, changed);
+      EXPECT_EQ(req.fingerprint, mutated_fp);
+      EXPECT_EQ(service::kernel_fingerprint(*req.kernel), mutated_fp);
+      EXPECT_EQ(req.patch_base, base_fp);
+
+      const service::JobBuild again = builder.build(base_line, 3);
+      ASSERT_TRUE(again.ok()) << again.code << ": " << again.detail;
+      EXPECT_EQ(service::kernel_fingerprint(*again.requests[0].kernel),
+                base_fp);
+    }
+  }
 }
 
 }  // namespace

@@ -337,6 +337,39 @@ TEST(JobScheduler, BatchSharesOnePlanAcrossJobs) {
   EXPECT_LE(s.p50_latency, s.p95_latency);
 }
 
+TEST(JobScheduler, LatencyWindowStaysBoundedPastItsCapacity) {
+  // A long-lived server must not keep one latency per job forever: the
+  // quantiles cover the most recent kLatencyWindow resolved jobs only.
+  JobScheduler::Config cfg;
+  cfg.workers = 2;
+  JobScheduler sched(cfg);
+  const auto kernel = std::make_shared<kernels::Fig1Kernel>(
+      kernels::Fig1Kernel::with_integer_values(
+          mesh::make_geometric_mesh({40, 120, 14})));
+  const std::uint64_t fp = kernel_fingerprint(*kernel);
+  const std::size_t jobs = JobScheduler::kLatencyWindow + 100;
+  for (std::size_t done = 0; done < jobs;) {
+    std::vector<JobHandle> wave;
+    for (; done < jobs && wave.size() < cfg.queue_capacity; ++done) {
+      JobRequest req;
+      req.kernel = kernel;
+      req.plan = plan_opts(1, 1);
+      req.fingerprint = fp;
+      wave.push_back(sched.submit(std::move(req)));
+    }
+    for (const JobHandle& h : wave)
+      ASSERT_EQ(h.wait().state, JobState::Done) << h.wait().error;
+  }
+
+  const ServiceStats s = sched.stats();
+  EXPECT_EQ(s.completed, jobs);
+  EXPECT_EQ(s.latency_samples, JobScheduler::kLatencyWindow);
+  EXPECT_GT(s.p50_latency, 0.0);
+  EXPECT_LE(s.p50_latency, s.p95_latency);
+  EXPECT_LE(s.p95_latency, s.p99_latency);
+  EXPECT_EQ(sched.counters().latency_samples, 0u);
+}
+
 TEST(JobScheduler, SimulatedJobRunsOnEarthMachine) {
   JobScheduler sched;
   const auto kernel = std::make_shared<kernels::Fig1Kernel>(

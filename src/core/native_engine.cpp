@@ -505,26 +505,26 @@ CostTags make_cost_tags(std::uint32_t RA, std::uint32_t NA) {
 }
 
 /// The P worker threads of one native run, shared by both executors.
-/// run() sizes the per-processor state (init), spawns and pins one thread
-/// per processor, runs the executor's per-sweep loop (body) on each, joins
-/// them and returns the wall seconds of the threaded section. Under
-/// first-touch, init(p) runs on worker p itself so its pages land on that
-/// worker's NUMA node, and no worker starts its loop before every init is
-/// done; otherwise the caller runs every init before the clock starts.
+/// Worker p pins itself if asked, builds its own per-run state (init),
+/// waits at the team barrier for every other init, runs the executor's
+/// per-sweep loop (body) and leaves, so the calling thread does no size-N
+/// setup. run() returns the seconds from the post-init barrier's release
+/// to the join: the sweeps only.
 ///
 /// Cooperative stop: one flag is polled by every staging wait and checked
 /// after every team barrier. A wait that outlives stall_timeout, or a
-/// worker that throws, raises it, so the other workers unwind instead of
-/// blocking forever. A worker leaving its loop — finished, stopped or
-/// throwing — drops out of the barrier so the rest never wait on it.
-/// run() then rethrows the first worker exception, or reports the stall
-/// as a check_error naming the starved step.
+/// worker that throws (in init or body), raises it, so the other workers
+/// unwind instead of blocking forever. A worker leaving — finished,
+/// stopped or throwing — drops out of the barrier so the rest never wait
+/// on it. run() then rethrows the first worker exception, or reports the
+/// stall as a check_error naming the starved step.
 class WorkerTeam {
  public:
   WorkerTeam(std::uint32_t num_workers, const SweepOptions& opt)
       : num_workers_(num_workers),
         opt_(opt),
-        barrier_(static_cast<std::ptrdiff_t>(num_workers)) {}
+        barrier_(static_cast<std::ptrdiff_t>(num_workers),
+                 StampFirstRelease{&start_}) {}
 
   /// Acquires a staging semaphore. Returns false when the team is
   /// stopping — the caller must return from its loop. `describe` builds
@@ -533,11 +533,10 @@ class WorkerTeam {
   template <typename Describe>
   bool wait(std::binary_semaphore& sem, Describe&& describe) {
     if (sem.try_acquire()) return true;
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
     while (!sem.try_acquire_for(std::chrono::milliseconds(10))) {
       if (stopping()) return false;
-      const std::chrono::duration<double> waited =
-          std::chrono::steady_clock::now() - start;
+      const std::chrono::duration<double> waited = Clock::now() - start;
       if (opt_.stall_timeout > 0.0 && waited.count() >= opt_.stall_timeout) {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (!stop_.exchange(true)) stall_what_ = describe();
@@ -556,10 +555,6 @@ class WorkerTeam {
 
   template <typename Init, typename Body>
   double run(const Init& init, const Body& body) {
-    const bool first_touch = opt_.affinity.first_touch;
-    if (!first_touch)
-      for (std::uint32_t p = 0; p < num_workers_; ++p) init(p);
-    const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     threads.reserve(num_workers_);
     for (std::uint32_t p = 0; p < num_workers_; ++p) {
@@ -567,8 +562,8 @@ class WorkerTeam {
         threads.emplace_back([&, p] {
           try {
             if (opt_.affinity.pin_threads) pin_current_thread(p);
-            if (first_touch) init(p);
-            if (!first_touch || sync()) body(p);
+            init(p);
+            if (sync()) body(p);
           } catch (...) {
             fail(std::current_exception());
           }
@@ -589,12 +584,21 @@ class WorkerTeam {
       throw check_error("native engine stalled after " +
                         std::to_string(opt_.stall_timeout) +
                         "s: " + stall_what_);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// Barrier completion step: stamps the first (post-init) release. It
+  /// runs before any worker is released; run() reads it after the join.
+  struct StampFirstRelease {
+    Clock::time_point* at;
+    void operator()() noexcept {
+      if (*at == Clock::time_point{}) *at = Clock::now();
+    }
+  };
+
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
 
   /// Records the first failure and stops the team.
@@ -610,8 +614,58 @@ class WorkerTeam {
   std::mutex mutex_;  ///< guards error_ and stall_what_
   std::exception_ptr error_;
   std::string stall_what_;
-  std::barrier<> barrier_;
+  Clock::time_point start_{};
+  std::barrier<StampFirstRelease> barrier_;
 };
+
+/// Runs one phase over `indir` (a flattened ref-major block): the
+/// kernel's batch loop, or with `batch` off the base PhasedKernel loop of
+/// compute_edge calls, which does the same floating-point operations in
+/// the same order.
+void run_phase(const PhasedKernel& kernel, earth::FiberContext& ctx,
+               const CostTags& tags, const inspector::PhaseSchedule& phase,
+               std::span<const std::uint32_t> indir, std::uint32_t num_refs,
+               bool batch, BackendKind backend, std::uint32_t tile_iters,
+               ProcArrays& ps) {
+  PhaseView view;
+  view.iter_global = phase.iter_global;
+  view.iter_local = phase.iter_local;
+  view.indir = indir;
+  view.num_iters = phase.iter_global.size();
+  view.num_refs = num_refs;
+  view.backend = backend;
+  view.tile_iters = tile_iters;
+  if (batch)
+    kernel.compute_phase(ctx, tags, view, ps);
+  else
+    kernel.PhasedKernel::compute_phase(ctx, tags, view, ps);
+}
+
+/// `count` arrays of `n` zeros, each allocated once (copies of a zeroed
+/// prototype would allocate and fault in one array more per run).
+std::vector<std::vector<double>> zeroed_arrays(std::uint32_t count,
+                                               std::size_t n) {
+  std::vector<std::vector<double>> arrays(count);
+  for (std::vector<double>& a : arrays) a.assign(n, 0.0);
+  return arrays;
+}
+
+/// Builds worker p's share of a run's shared arrays: of the RA reduction
+/// then NA node-read arrays, worker i mod P builds array i, as zeros or as
+/// a copy of its own initialized node-read replica `own` (identical on
+/// every worker). The outer vectors of `shared` must already be sized.
+void build_shared_share(ProcArrays& shared, const ProcArrays& own,
+                        std::uint32_t p, std::uint32_t P, std::uint32_t n) {
+  const auto RA = static_cast<std::uint32_t>(shared.reduction.size());
+  const auto total =
+      RA + static_cast<std::uint32_t>(shared.node_read.size());
+  for (std::uint32_t i = p; i < total; i += P) {
+    if (i < RA)
+      shared.reduction[i].assign(n, 0.0);
+    else
+      shared.node_read[i - RA] = own.node_read[i - RA];
+  }
+}
 
 /// The paper's executor: portions of the reduction arrays rotate through
 /// the processors over k*P phases with bounded-buffer staging (see the
@@ -629,53 +683,41 @@ NativeResult run_phased(const PhasedKernel& kernel,
   const std::uint32_t NA = shape.num_node_read_arrays;
 
   // ---- per-run mutable state (the plan itself stays untouched) ----------
-  // The StagedSlot objects (semaphores) are always created here so the
-  // staging topology exists before any worker starts; the *data* vectors
-  // are sized by init_proc_state, on the worker that owns them under
-  // first-touch.
+  // Every entry is built by init_proc_state on the worker that owns it;
+  // nobody touches another worker's entries before the post-init barrier.
   std::vector<ProcArrays> arrays(P);
   // rotation[q][ph]: the portion arriving for q's phase ph.
-  std::vector<std::vector<std::unique_ptr<StagedSlot>>> rotation(P);
-  // bcast[q][pid]: the refreshed node-read portion pid for receiver q.
-  std::vector<std::vector<std::unique_ptr<StagedSlot>>> bcast(P);
-  for (std::uint32_t q = 0; q < P; ++q) {
-    rotation[q].resize(kp);
-    for (std::uint32_t ph = 0; ph < kp; ++ph)
-      rotation[q][ph] = std::make_unique<StagedSlot>();
-    bcast[q].resize(sched.num_portions());
-    for (std::uint32_t pid = 0; pid < sched.num_portions(); ++pid) {
-      if (sched.final_owner(pid) == q) continue;  // local, no staging
-      bcast[q][pid] = std::make_unique<StagedSlot>();
-    }
-  }
+  std::vector<std::vector<StagedSlot>> rotation(P);
+  // bcast[q][pid]: the refreshed node-read portion pid for receiver q
+  // (unused, and left empty, for the portions q finalizes itself).
+  std::vector<std::vector<StagedSlot>> bcast(P);
+  // The result arrays, shared: each portion's final values land here.
+  ProcArrays out;
+  out.reduction.resize(RA);
+  out.node_read.resize(NA);
 
-  /// Sizes processor p's arrays and *receiving* staging buffers.
+  /// Builds processor p's arrays, its *receiving* staging buffers and its
+  /// share of the result arrays.
   const auto init_proc_state = [&](std::uint32_t p) {
-    arrays[p].reduction.assign(
-        RA, std::vector<double>(plan.insp[p].local_array_size, 0.0));
-    arrays[p].node_read.assign(NA,
-                               std::vector<double>(shape.num_nodes, 0.0));
+    arrays[p].reduction = zeroed_arrays(RA, plan.insp[p].local_array_size);
+    arrays[p].node_read = zeroed_arrays(NA, shape.num_nodes);
     kernel.init_node_arrays(arrays[p].node_read);
+    rotation[p] = std::vector<StagedSlot>(kp);
     for (std::uint32_t ph = 0; ph < kp; ++ph) {
       const std::uint32_t pid = sched.owned_portion(p, ph);
-      rotation[p][ph]->data.assign(
+      rotation[p][ph].data.assign(
           static_cast<std::size_t>(sched.portion_size(pid)) * RA, 0.0);
     }
+    bcast[p] = std::vector<StagedSlot>(sched.num_portions());
     for (std::uint32_t pid = 0; pid < sched.num_portions(); ++pid) {
-      if (!bcast[p][pid]) continue;
-      bcast[p][pid]->data.assign(
-          static_cast<std::size_t>(sched.portion_size(pid)) *
-              std::max<std::uint32_t>(NA, 1),
-          0.0);
+      if (sched.final_owner(pid) == p) continue;  // local, no staging
+      bcast[p][pid].data.assign(
+          static_cast<std::size_t>(sched.portion_size(pid)) * NA, 0.0);
     }
+    build_shared_share(out, arrays[p], p, P, shape.num_nodes);
   };
 
   const CostTags tags = make_cost_tags(RA, NA);
-
-  NativeResult result;
-  result.reduction.assign(RA, std::vector<double>(shape.num_nodes, 0.0));
-  result.node_read.assign(NA, std::vector<double>(shape.num_nodes, 0.0));
-
   const std::uint32_t sweeps = opt.sweeps;
   WorkerTeam team(P, opt);
 
@@ -683,7 +725,6 @@ NativeResult run_phased(const PhasedKernel& kernel,
     earth::FiberContext ctx = earth::FiberContext::detached(p);
     const InspectorResult& insp = plan.insp[p];
     ProcArrays& ps = arrays[p];
-    std::vector<std::uint32_t> redirected(shape.num_refs);
 
     for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
       for (std::uint32_t ph = 0; ph < kp; ++ph) {
@@ -695,9 +736,9 @@ NativeResult run_phased(const PhasedKernel& kernel,
         // Sweep boundary: apply the staged node-read refreshes.
         if (ph == 0 && sweep > 0 && NA > 0) {
           for (std::uint32_t opid = 0; opid < sched.num_portions(); ++opid) {
-            StagedSlot* slot = bcast[p][opid].get();
-            if (!slot) continue;  // finalized locally
-            if (!team.wait(slot->full, [&] {
+            if (sched.final_owner(opid) == p) continue;  // finalized locally
+            StagedSlot& slot = bcast[p][opid];
+            if (!team.wait(slot.full, [&] {
                   return "proc " + std::to_string(p) +
                          " stuck waiting for the node-read broadcast "
                          "of portion " +
@@ -708,17 +749,17 @@ NativeResult run_phased(const PhasedKernel& kernel,
             const std::uint32_t ob = sched.portion_begin(opid);
             const std::uint32_t osz = sched.portion_size(opid);
             for (std::uint32_t a = 0; a < NA; ++a)
-              std::copy(slot->data.begin() + a * osz,
-                        slot->data.begin() + (a + 1) * osz,
+              std::copy(slot.data.begin() + a * osz,
+                        slot.data.begin() + (a + 1) * osz,
                         ps.node_read[a].begin() + ob);
-            slot->free.release();
+            slot.free.release();
           }
         }
 
         // Portion arrival (the first k phases of sweep 0 start local).
         if (!(sweep == 0 && ph < k)) {
-          StagedSlot* slot = rotation[p][ph].get();
-          if (!team.wait(slot->full, [&] {
+          StagedSlot& slot = rotation[p][ph];
+          if (!team.wait(slot.full, [&] {
                 return "proc " + std::to_string(p) +
                        " stuck waiting for portion " + std::to_string(pid) +
                        " to arrive for phase " + std::to_string(ph) +
@@ -727,35 +768,16 @@ NativeResult run_phased(const PhasedKernel& kernel,
               }))
             return;
           for (std::uint32_t a = 0; a < RA; ++a)
-            std::copy(slot->data.begin() + a * psize,
-                      slot->data.begin() + (a + 1) * psize,
+            std::copy(slot.data.begin() + a * psize,
+                      slot.data.begin() + (a + 1) * psize,
                       ps.reduction[a].begin() + begin);
-          slot->free.release();
+          slot.free.release();
         }
 
-        // Main loop: one batched compute_phase call streaming the
-        // flattened indirection block, or the per-edge fallback (a
-        // virtual call plus a `redirected` scatter copy per edge).
+        // Main loop over the flattened indirection block.
         const inspector::PhaseSchedule& phase = insp.phases[ph];
-        const std::size_t iters = phase.iter_global.size();
-        if (opt.batch && phase.indir_flat.size() == iters * shape.num_refs) {
-          PhaseView view;
-          view.iter_global = phase.iter_global;
-          view.iter_local = phase.iter_local;
-          view.indir = phase.indir_flat;
-          view.num_iters = iters;
-          view.num_refs = shape.num_refs;
-          view.backend = backend;
-          view.tile_iters = plan.tile_iters;
-          kernel.compute_phase(ctx, tags, view, ps);
-        } else {
-          for (std::size_t j = 0; j < iters; ++j) {
-            for (std::uint32_t r = 0; r < shape.num_refs; ++r)
-              redirected[r] = phase.indir[r][j];
-            kernel.compute_edge(ctx, tags, phase.iter_global[j],
-                                phase.iter_local[j], redirected, ps);
-          }
-        }
+        run_phase(kernel, ctx, tags, phase, phase.indir_flat,
+                  shape.num_refs, opt.batch, backend, plan.tile_iters, ps);
         // Second loop.
         for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
           for (std::uint32_t a = 0; a < RA; ++a) {
@@ -772,11 +794,11 @@ NativeResult run_phased(const PhasedKernel& kernel,
             for (std::uint32_t a = 0; a < RA; ++a)
               std::copy(ps.reduction[a].begin() + begin,
                         ps.reduction[a].begin() + end,
-                        result.reduction[a].begin() + begin);
+                        out.reduction[a].begin() + begin);
             for (std::uint32_t a = 0; a < NA; ++a)
               std::copy(ps.node_read[a].begin() + begin,
                         ps.node_read[a].begin() + end,
-                        result.node_read[a].begin() + begin);
+                        out.node_read[a].begin() + begin);
           }
           for (std::uint32_t a = 0; a < RA; ++a)
             std::fill(ps.reduction[a].begin() + begin,
@@ -784,8 +806,8 @@ NativeResult run_phased(const PhasedKernel& kernel,
           if (NA > 0 && sweep + 1 < sweeps) {
             for (std::uint32_t q = 0; q < P; ++q) {
               if (q == p) continue;
-              StagedSlot* slot = bcast[q][pid].get();
-              if (!team.wait(slot->free, [&] {
+              StagedSlot& slot = bcast[q][pid];
+              if (!team.wait(slot.free, [&] {
                     return "proc " + std::to_string(p) +
                            " stuck broadcasting portion " +
                            std::to_string(pid) + " to proc " +
@@ -796,8 +818,8 @@ NativeResult run_phased(const PhasedKernel& kernel,
               for (std::uint32_t a = 0; a < NA; ++a)
                 std::copy(ps.node_read[a].begin() + begin,
                           ps.node_read[a].begin() + end,
-                          slot->data.begin() + a * psize);
-              slot->full.release();
+                          slot.data.begin() + a * psize);
+              slot.full.release();
             }
           }
         }
@@ -811,8 +833,8 @@ NativeResult run_phased(const PhasedKernel& kernel,
               opt.lose_forward.phase == ph && opt.lose_forward.sweep == sweep)
             continue;  // fault hook: this forward silently vanishes
           const std::uint32_t q = sched.next_owner(p);
-          StagedSlot* slot = rotation[q][tph].get();
-          if (!team.wait(slot->free, [&] {
+          StagedSlot& slot = rotation[q][tph];
+          if (!team.wait(slot.free, [&] {
                 return "proc " + std::to_string(p) +
                        " stuck forwarding portion " + std::to_string(pid) +
                        " to proc " + std::to_string(q) + " phase " +
@@ -823,14 +845,17 @@ NativeResult run_phased(const PhasedKernel& kernel,
           for (std::uint32_t a = 0; a < RA; ++a)
             std::copy(ps.reduction[a].begin() + begin,
                       ps.reduction[a].begin() + end,
-                      slot->data.begin() + a * psize);
-          slot->full.release();
+                      slot.data.begin() + a * psize);
+          slot.full.release();
         }
       }
     }
   };
 
+  NativeResult result;
   result.wall_seconds = team.run(init_proc_state, worker);
+  result.reduction = std::move(out.reduction);
+  result.node_read = std::move(out.node_read);
   result.backend = opt.batch ? backend : BackendKind::Scalar;
   return result;
 }
@@ -857,9 +882,8 @@ NativeResult run_privatized(const PhasedKernel& kernel,
 
   // The shared arrays the fold writes and update_nodes reads/writes.
   ProcArrays merged;
-  merged.reduction.assign(RA, std::vector<double>(N, 0.0));
-  merged.node_read.assign(NA, std::vector<double>(N, 0.0));
-  kernel.init_node_arrays(merged.node_read);
+  merged.reduction.resize(RA);
+  merged.node_read.resize(NA);
 
   std::vector<ProcArrays> priv(P);
   // direct[p][ph]: the worker's schedule with redirection undone — a
@@ -868,10 +892,12 @@ NativeResult run_privatized(const PhasedKernel& kernel,
   // against the full-size replica.
   std::vector<std::vector<std::vector<std::uint32_t>>> direct(P);
 
+  /// Builds worker p's replica, its direct ids and its share of `merged`.
   const auto init_proc_state = [&](std::uint32_t p) {
-    priv[p].reduction.assign(RA, std::vector<double>(N, 0.0));
-    priv[p].node_read.assign(NA, std::vector<double>(N, 0.0));
+    priv[p].reduction = zeroed_arrays(RA, N);
+    priv[p].node_read = zeroed_arrays(NA, N);
     kernel.init_node_arrays(priv[p].node_read);
+    build_shared_share(merged, priv[p], p, P, N);
     direct[p].resize(kp);
     for (std::uint32_t ph = 0; ph < kp; ++ph) {
       const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
@@ -892,7 +918,6 @@ NativeResult run_privatized(const PhasedKernel& kernel,
   const auto worker = [&](std::uint32_t p) {
     earth::FiberContext ctx = earth::FiberContext::detached(p);
     ProcArrays& ps = priv[p];
-    std::vector<std::uint32_t> redirected(R);
     // This worker's node range: it folds, updates and publishes exactly
     // these elements.
     const std::uint32_t lo =
@@ -901,29 +926,9 @@ NativeResult run_privatized(const PhasedKernel& kernel,
         static_cast<std::uint64_t>(N) * (p + 1) / P);
 
     for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
-      for (std::uint32_t ph = 0; ph < kp; ++ph) {
-        const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
-        const std::size_t iters = phase.iter_global.size();
-        const std::vector<std::uint32_t>& flat = direct[p][ph];
-        if (opt.batch) {
-          PhaseView view;
-          view.iter_global = phase.iter_global;
-          view.iter_local = phase.iter_local;
-          view.indir = flat;
-          view.num_iters = iters;
-          view.num_refs = R;
-          view.backend = backend;
-          view.tile_iters = plan.tile_iters;
-          kernel.compute_phase(ctx, tags, view, ps);
-        } else {
-          for (std::size_t j = 0; j < iters; ++j) {
-            for (std::uint32_t r = 0; r < R; ++r)
-              redirected[r] = flat[static_cast<std::size_t>(r) * iters + j];
-            kernel.compute_edge(ctx, tags, phase.iter_global[j],
-                                phase.iter_local[j], redirected, ps);
-          }
-        }
-      }
+      for (std::uint32_t ph = 0; ph < kp; ++ph)
+        run_phase(kernel, ctx, tags, plan.insp[p].phases[ph], direct[p][ph],
+                  R, opt.batch, backend, plan.tile_iters, ps);
 
       // All replicas complete before anyone folds.
       if (!team.sync()) return;
@@ -1034,8 +1039,8 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
 
 NativeResult run_native_engine(const PhasedKernel& kernel,
                                const NativeOptions& opt) {
-  const ExecutionPlan plan = build_execution_plan(kernel, opt.plan());
-  return run_native_plan(kernel, plan, opt.sweep());
+  const ExecutionPlan plan = build_execution_plan(kernel, opt.plan);
+  return run_native_plan(kernel, plan, opt.sweep);
 }
 
 }  // namespace earthred::core

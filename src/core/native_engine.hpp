@@ -168,18 +168,13 @@ ExecutionPlan patch_execution_plan(
     const PhasedKernel& kernel, const ExecutionPlan& previous,
     std::span<const std::uint32_t> changed_iterations);
 
-/// NUMA/affinity knobs for the native engine's worker threads (the
-/// ROADMAP's pin + first-touch open item). Both default off; pinning is a
-/// best-effort no-op on platforms without pthread CPU affinity.
+/// Thread placement for the native engine's workers. Each worker always
+/// builds its own per-run state, so its pages are first touched by the
+/// thread that uses them; pinning only fixes which CPU that thread runs on.
 struct AffinityOptions {
   /// Pin worker thread p to CPU (p mod hardware_concurrency) via
-  /// pthread_setaffinity_np where available.
+  /// pthread_setaffinity_np where available; a best-effort no-op elsewhere.
   bool pin_threads = false;
-  /// Allocate and zero each processor's reduction/node-read arrays and
-  /// its *receiving* staging buffers on the worker thread that will use
-  /// them (first-touch page placement on NUMA hosts) instead of on the
-  /// caller's thread. Results are unaffected — only page placement moves.
-  bool first_touch = false;
 };
 
 /// Per-run execution knobs — do not affect the plan.
@@ -200,13 +195,12 @@ struct SweepOptions {
     std::uint32_t phase = 0;
     std::uint32_t sweep = 0;
   } lose_forward;
-  /// Execute each phase through PhasedKernel::compute_phase — one batched
-  /// call streaming the flattened indirection block — instead of a
-  /// per-edge virtual compute_edge call with a heap-backed `redirected`
-  /// scatter copy. Results are bit-identical either way (the batch loops
-  /// perform the same floating-point operations in the same order;
-  /// tests/test_batch_equivalence.cpp proves it); off reproduces the
-  /// per-edge executor.
+  /// Execute each phase through the kernel's PhasedKernel::compute_phase
+  /// override — one batched loop streaming the flattened indirection
+  /// block. Off runs the base PhasedKernel::compute_phase instead, one
+  /// virtual compute_edge call per edge. Results are bit-identical either
+  /// way (the batch loops perform the same floating-point operations in
+  /// the same order; tests/test_batch_equivalence.cpp proves it).
   bool batch = true;
   AffinityOptions affinity{};
   /// Compute backend for the batched phase loops (see core/backend.hpp).
@@ -220,34 +214,13 @@ struct SweepOptions {
 /// One-shot options: plan parameters plus run parameters (the original
 /// pre-service interface, kept for callers that don't reuse plans).
 struct NativeOptions {
-  std::uint32_t num_procs = 2;
-  std::uint32_t k = 2;
-  inspector::Distribution distribution = inspector::Distribution::Cyclic;
-  /// Chunk size when distribution == BlockCyclic.
-  std::uint32_t block_cyclic_size = 16;
-  std::uint32_t sweeps = 1;
-  inspector::LightInspectorOptions inspector{};
-  double stall_timeout = 30.0;
-  SweepOptions::LostForward lose_forward{};
-  bool batch = true;
-  AffinityOptions affinity{};
-  BackendKind backend = BackendKind::Auto;
-  StrategyKind strategy = StrategyKind::Auto;
-  LayoutKind layout = LayoutKind::None;
-
-  PlanOptions plan() const {
-    PlanOptions p{num_procs, k, distribution, block_cyclic_size, inspector};
-    p.strategy = strategy;
-    p.layout = layout;
-    return p;
-  }
-  SweepOptions sweep() const {
-    return {sweeps, stall_timeout, lose_forward, batch, affinity, backend};
-  }
+  PlanOptions plan;
+  SweepOptions sweep;
 };
 
 struct NativeResult {
-  /// Wall-clock seconds of the threaded execution (excludes inspector).
+  /// Wall-clock seconds of the sweeps: from the moment every worker has
+  /// built its per-run state to the join (excludes inspector and setup).
   double wall_seconds = 0.0;
   /// Final reduction arrays ([array][element], global indexing).
   std::vector<std::vector<double>> reduction;

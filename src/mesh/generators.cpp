@@ -49,10 +49,10 @@ std::vector<Edge> k_shortest_pairs(
   // (n^2 * sphere/volume / 2) is 1.5x (planar) or 2.25x (3D) the target,
   // then grow until enough candidates are found.
   const bool planar = (hi[2] - lo[2]) < 1e-9;
+  const double area = std::max(hi[0] - lo[0], 1e-12) *
+                      std::max(hi[1] - lo[1], 1e-12);
   double radius;
   if (planar) {
-    const double area = std::max(hi[0] - lo[0], 1e-12) *
-                        std::max(hi[1] - lo[1], 1e-12);
     radius = std::sqrt(3.0 * static_cast<double>(target) * area /
                        (3.14159265358979 * static_cast<double>(n) *
                         static_cast<double>(n)));
@@ -61,6 +61,13 @@ std::vector<Edge> k_shortest_pairs(
                        (4.18879 * static_cast<double>(n) *
                         static_cast<double>(n)));
   }
+  // Cells are never smaller than one point's share of the box, so a
+  // sparse request (few edges, many nodes: a tiny radius) still gets about
+  // n cells instead of (extent / radius)^3. Any cell edge >= radius finds
+  // the same in-range pairs, and so the same output.
+  const double min_cell =
+      planar ? std::sqrt(area / static_cast<double>(n))
+             : std::cbrt(volume / static_cast<double>(n));
 
   // Boundary effects keep real counts at or below the expected count, so
   // one reservation usually serves every push.
@@ -70,7 +77,7 @@ std::vector<Edge> k_shortest_pairs(
   for (int attempt = 0; attempt < 24; ++attempt) {
     cands.clear();
     const double r2 = radius * radius;
-    const double cell = radius;
+    const double cell = std::max(radius, min_cell);
     auto cell_of = [&](const std::array<double, 3>& p, int d) {
       return static_cast<std::int64_t>(std::floor((p[d] - lo[d]) / cell));
     };

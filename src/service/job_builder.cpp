@@ -55,6 +55,15 @@ const mesh::Mesh& kernel_mesh(const core::PhasedKernel& k) {
   return dynamic_cast<const kernels::Fig1Kernel&>(k).mesh();
 }
 
+/// Estimated heap bytes of a make_kernel() kernel: the mesh's edges and
+/// coordinates plus one double per edge (euler's coefficients, fig1's
+/// values; moldyn keeps none, so this overstates it slightly).
+std::uint64_t kernel_bytes(const core::PhasedKernel& k) {
+  const mesh::Mesh& m = kernel_mesh(k);
+  return m.edges.size() * (sizeof(mesh::Edge) + sizeof(double)) +
+         m.coords.size() * sizeof(m.coords[0]);
+}
+
 mesh::Mesh mesh_from_options(const Options& opt) {
   const std::string preset = opt.get("preset");
   if (preset == "euler-small") return mesh::euler_mesh_small();
@@ -123,10 +132,7 @@ void request_from_keys(const Options& jopt, JobRequest& req) {
   req.sweeps = static_cast<std::uint32_t>(jopt.get_int("sweeps", 1));
   req.deadline_seconds = jopt.get_double("deadline", 0.0);
   req.batch = jopt.has("no-batch") ? false : jopt.get_bool("batch", true);
-  if (jopt.get_bool("pin", false)) {
-    req.affinity.pin_threads = true;
-    req.affinity.first_touch = true;
-  }
+  req.affinity.pin_threads = jopt.get_bool("pin", false);
   const std::string verify = jopt.get("verify");
   if (!verify.empty()) {
     ER_CHECK_MSG(verify == "on" || verify == "off",
@@ -152,6 +158,16 @@ void request_from_keys(const Options& jopt, JobRequest& req) {
 }  // namespace
 
 JobBuilder::JobBuilder(JobLimits limits) : limits_(limits) {}
+
+void JobBuilder::evict_kernels() {
+  while (kernel_bytes_ > kKernelBudgetBytes && kernels_.size() > 1) {
+    auto oldest = kernels_.begin();
+    for (auto it = kernels_.begin(); it != kernels_.end(); ++it)
+      if (it->second.last_use < oldest->second.last_use) oldest = it;
+    kernel_bytes_ -= oldest->second.bytes;
+    kernels_.erase(oldest);
+  }
+}
 
 JobBuild JobBuilder::build(std::string_view line, std::size_t lineno) {
   JobBuild b;
@@ -278,8 +294,14 @@ JobBuild JobBuilder::build(std::string_view line, std::size_t lineno) {
       entry.kernel = std::shared_ptr<const core::PhasedKernel>(
           make_kernel(kname, mesh_from_options(jopt)));
       entry.fingerprint = kernel_fingerprint(*entry.kernel);
+      entry.bytes = kernel_bytes(*entry.kernel);
+      kernel_bytes_ += entry.bytes;
       it = kernels_.emplace(key, std::move(entry)).first;
     }
+    it->second.last_use = ++use_clock_;
+    // The entry just used is the most recent, so eviction keeps it.
+    evict_kernels();
+    const KernelEntry& base = it->second;
 
     JobRequest req;
     req.name = jopt.get("name", kname + "#" + std::to_string(lineno));
@@ -287,19 +309,21 @@ JobBuild JobBuilder::build(std::string_view line, std::size_t lineno) {
     if (mutate > 0) {
       // Adaptive job: rewire `mutate` interactions of a copy of the base
       // kernel's mesh and ask the service to patch the base plan instead
-      // of rebuilding. The base fingerprint stays in the kernels map, so a
-      // prior plain job on the same mesh line seeds the base plan.
-      mesh::Mesh m = kernel_mesh(*it->second.kernel);
+      // of rebuilding. The base kernel was found or re-synthesized from
+      // the same line's keys, so its fingerprint, and with it any base
+      // plan a prior plain job on the mesh line built, is the same either
+      // way.
+      mesh::Mesh m = kernel_mesh(*base.kernel);
       req.changed_edges = mesh::rewire_edges(
           m, mutate,
           static_cast<std::uint64_t>(jopt.get_int("mutate-seed", 1)));
       req.kernel = std::shared_ptr<const core::PhasedKernel>(
           make_kernel(kname, std::move(m)));
       req.fingerprint = kernel_fingerprint(*req.kernel);
-      req.patch_base = it->second.fingerprint;
+      req.patch_base = base.fingerprint;
     } else {
-      req.kernel = it->second.kernel;
-      req.fingerprint = it->second.fingerprint;
+      req.kernel = base.kernel;
+      req.fingerprint = base.fingerprint;
     }
     b.requests.push_back(std::move(req));
     return b;

@@ -20,8 +20,9 @@
 //
 // A build that passes yields one JobRequest — or several for a DSL
 // program that fissions into multiple loops (local mode only, since
-// `dsl=` names a file). Kernels are cached per mesh key so repeated jobs
-// on the same mesh share one kernel and one plan-cache fingerprint.
+// `dsl=` names a file). Kernels are cached per mesh key, within an LRU
+// byte budget, so repeated jobs on the same mesh share one kernel and one
+// plan-cache fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -68,16 +69,38 @@ class JobBuilder {
 
   const JobLimits& limits() const { return limits_; }
 
+  /// Byte budget for the kernels kept between lines (mesh, coordinates
+  /// and per-edge data of each distinct mesh line). Past it the least
+  /// recently used kernels are dropped and synthesized again on their
+  /// next line; the kernel just used always stays, however large. It
+  /// holds every mesh one shard of perfbench's plan-churn mix sees (about
+  /// 26 lines of 30k nodes, ~94 MB).
+  static constexpr std::uint64_t kKernelBudgetBytes = 128ull << 20;
+
+  /// Kernels currently kept, and their estimated bytes.
+  std::size_t kept_kernels() const { return kernels_.size(); }
+  std::uint64_t kept_kernel_bytes() const { return kernel_bytes_; }
+
  private:
   struct KernelEntry {
     std::shared_ptr<const core::PhasedKernel> kernel;
     std::uint64_t fingerprint = 0;
+    std::uint64_t bytes = 0;
+    std::uint64_t last_use = 0;  ///< use_clock_ at the latest lookup
   };
+
+  /// Drops least recently used kernels until the kept bytes fit the
+  /// budget or only the most recent kernel is left. Jobs already built
+  /// hold their own reference, so a dropped kernel lives on until they
+  /// finish.
+  void evict_kernels();
 
   JobLimits limits_;
   /// Kernels shared across lines naming the same mesh (same sharing the
   /// CLI always had — repeat jobs hit the plan cache with an O(1) key).
   std::map<std::string, KernelEntry> kernels_;
+  std::uint64_t kernel_bytes_ = 0;
+  std::uint64_t use_clock_ = 0;
 };
 
 /// Content hash of a native run's output arrays (reduction + node reads,

@@ -81,7 +81,8 @@ struct JobRequest {
   /// Execute phases through the batched compute_phase hot path (see
   /// core::SweepOptions::batch); off runs the per-edge fallback.
   bool batch = true;
-  /// Worker pinning + first-touch placement for this job's sweep threads.
+  /// Worker pinning for this job's sweep threads (each worker builds its
+  /// own per-run state whether pinned or not).
   core::AffinityOptions affinity{};
   /// Compute backend for the batched phase loops. Auto (the default)
   /// resolves to the widest tier the host supports and never rejects; a

@@ -147,8 +147,8 @@ TEST(BatchEquivalence, AllBackendsBitIdenticalToPerEdgeReference) {
 }
 
 TEST(BatchEquivalence, AffinityKnobsDoNotChangeResults) {
-  // Pinning and first-touch move page placement and thread scheduling,
-  // never arithmetic: results stay bit-identical with both knobs on.
+  // Pinning moves thread placement and scheduling, never arithmetic:
+  // results stay bit-identical with it on.
   const kernels::EulerKernel kernel(mesh::make_geometric_mesh({160, 700, 8}));
   PlanOptions popt;
   popt.num_procs = 4;
@@ -160,11 +160,10 @@ TEST(BatchEquivalence, AffinityKnobsDoNotChangeResults) {
   sopt.sweeps = 3;
   const NativeResult plain = run_native_plan(kernel, plan, sopt);
   sopt.affinity.pin_threads = true;
-  sopt.affinity.first_touch = true;
   const NativeResult pinned = run_native_plan(kernel, plan, sopt);
   expect_results_identical(plain, pinned, "affinity on vs off");
 
-  sopt.batch = false;  // and the per-edge executor under first-touch
+  sopt.batch = false;  // and the per-edge executor, pinned
   const NativeResult pinned_edge = run_native_plan(kernel, plan, sopt);
   expect_results_identical(plain, pinned_edge, "affinity + per-edge");
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <tuple>
 
@@ -11,6 +14,48 @@
 #include "support/binio.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
+
+// The largest single heap request made while `g_track_largest` is set:
+// the sparse-request test below bounds the pair search's cell grid with
+// it. The replacements only forward to malloc/free.
+namespace {
+std::atomic<bool> g_track_largest{false};
+std::atomic<std::size_t> g_largest{0};
+}  // namespace
+
+// GCC inlines these pairs and flags free() on memory from operator new,
+// which is exactly what a malloc-backed replacement does.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_track_largest.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace earthred::mesh {
 namespace {
@@ -198,6 +243,20 @@ TEST(Generators, GoldenDigestsPinGeneratorOutput) {
             16571806365662516372ull);
   EXPECT_EQ(mesh_digest(make_moldyn_lattice({3, 200, 0.02, 5})),
             13144131557791327948ull);
+}
+
+TEST(Generators, SparseRequestKeepsTheCellGridNearNodeCount) {
+  // Ten edges among 20,000 points: the search radius is tiny, and a grid
+  // of radius-sized cells would need ~3.6e7 cells (a 145 MB offset
+  // array). Cells no smaller than one point's share of the box keep every
+  // allocation within a few dozen bytes per node.
+  constexpr std::uint32_t kNodes = 20000;
+  g_largest = 0;
+  g_track_largest = true;
+  const Mesh m = make_geometric_mesh({kNodes, 10, 1});
+  g_track_largest = false;
+  EXPECT_EQ(m.num_edges(), 10u);
+  EXPECT_LE(g_largest.load(), 64u * kNodes);
 }
 
 TEST(Adaptive, RebuildGoldenDigests) {

@@ -114,9 +114,9 @@ TEST(CompiledKernel, RunsOnNativeThreadEngine) {
   const auto want = kernel->interpret_reference();
 
   core::NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 2;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 2;
   const core::NativeResult r = core::run_native_engine(*kernel, opt);
   const auto& x = want.at("X");
   for (std::size_t i = 0; i < x.size(); ++i)

@@ -3,6 +3,7 @@
 // counts, k values and distributions, and the worker team's failure path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -32,10 +33,10 @@ TEST(NativeEngine, Fig1ExactMatchManyConfigs) {
       for (const auto dist : {inspector::Distribution::Block,
                               inspector::Distribution::Cyclic}) {
         NativeOptions opt;
-        opt.num_procs = procs;
-        opt.k = k;
-        opt.distribution = dist;
-        opt.sweeps = 4;
+        opt.plan.num_procs = procs;
+        opt.plan.k = k;
+        opt.plan.distribution = dist;
+        opt.sweep.sweeps = 4;
         const NativeResult r = run_native_engine(kernel, opt);
         for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)
           ASSERT_EQ(r.reduction[0][i], seq.reduction[0][i])
@@ -53,9 +54,9 @@ TEST(NativeEngine, EulerStateMatchesSequential) {
   const RunResult seq = run_sequential_kernel(kernel, sopt);
 
   NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 5;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 5;
   const NativeResult r = run_native_engine(kernel, opt);
   for (std::size_t a = 0; a < seq.node_read.size(); ++a)
     for (std::size_t i = 0; i < seq.node_read[a].size(); ++i)
@@ -70,9 +71,9 @@ TEST(NativeEngine, MoldynStateMatchesSequential) {
   const RunResult seq = run_sequential_kernel(kernel, sopt);
 
   NativeOptions opt;
-  opt.num_procs = 6;
-  opt.k = 2;
-  opt.sweeps = 3;
+  opt.plan.num_procs = 6;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 3;
   const NativeResult r = run_native_engine(kernel, opt);
   for (std::size_t a = 0; a < seq.node_read.size(); ++a)
     for (std::size_t i = 0; i < seq.node_read[a].size(); ++i)
@@ -85,12 +86,12 @@ TEST(NativeEngine, RepeatedRunsAreDeterministic) {
   const kernels::EulerKernel kernel(
       mesh::make_geometric_mesh({128, 600, 13}));
   NativeOptions opt;
-  opt.num_procs = 5;
-  opt.k = 2;
-  opt.sweeps = 4;
+  opt.plan.num_procs = 5;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 4;
   // Pin phased: this test is about the rotation engine, whatever the CI
   // strategy-matrix env forces.
-  opt.strategy = StrategyKind::Phased;
+  opt.plan.strategy = StrategyKind::Phased;
   const NativeResult a = run_native_engine(kernel, opt);
   const NativeResult b = run_native_engine(kernel, opt);
   for (std::size_t arr = 0; arr < a.node_read.size(); ++arr)
@@ -102,9 +103,9 @@ TEST(NativeEngine, SingleSweepNoBroadcastPath) {
   const kernels::EulerKernel kernel(
       mesh::make_geometric_mesh({64, 300, 14}));
   NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 1;
-  opt.sweeps = 1;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 1;
+  opt.sweep.sweeps = 1;
   const NativeResult r = run_native_engine(kernel, opt);
   SequentialOptions sopt;
   const RunResult seq = run_sequential_kernel(kernel, sopt);
@@ -126,8 +127,8 @@ TEST(NativeEngine, RejectsDegenerateShapes) {
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
       mesh::make_geometric_mesh({8, 20, 6}));
   NativeOptions opt;
-  opt.num_procs = 8;
-  opt.k = 2;
+  opt.plan.num_procs = 8;
+  opt.plan.k = 2;
   EXPECT_THROW(run_native_engine(kernel, opt), precondition_error);
 }
 
@@ -138,14 +139,14 @@ TEST(NativeEngine, LostForwardTripsStallWatchdog) {
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
       mesh::make_geometric_mesh({96, 500, 21}));
   NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 3;
-  opt.stall_timeout = 0.5;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 3;
+  opt.sweep.stall_timeout = 0.5;
   // The faulted ring forward only exists in the phased executor; pin the
   // strategy so auto cannot route around the fault.
-  opt.strategy = StrategyKind::Phased;
-  opt.lose_forward = {true, 0, 0, 0};
+  opt.plan.strategy = StrategyKind::Phased;
+  opt.sweep.lose_forward = {true, 0, 0, 0};
   try {
     run_native_engine(kernel, opt);
     FAIL() << "expected the stall watchdog to fire";
@@ -165,10 +166,10 @@ TEST(NativeEngine, ZeroStallTimeoutStillRunsCleanSchedules) {
   sopt.sweeps = 3;
   const RunResult seq = run_sequential_kernel(kernel, sopt);
   NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 3;
-  opt.stall_timeout = 0.0;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 3;
+  opt.sweep.stall_timeout = 0.0;
   const NativeResult r = run_native_engine(kernel, opt);
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)
     ASSERT_EQ(r.reduction[0][i], seq.reduction[0][i]);
@@ -178,12 +179,17 @@ struct InjectedFault : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A real kernel whose compute paths throw on one processor: a kernel
-/// fault on a single worker thread.
+/// A real kernel that throws on one worker thread: from its compute
+/// paths on processor `bad`, or from the `bad`-th (0-based) of the P
+/// init_node_arrays calls a run makes, one per worker while it builds its
+/// per-run state.
 class FaultyKernel final : public PhasedKernel {
  public:
-  FaultyKernel(std::unique_ptr<PhasedKernel> inner, std::uint32_t bad_proc)
-      : inner_(std::move(inner)), bad_proc_(bad_proc) {}
+  enum class Where { Compute, Init };
+
+  FaultyKernel(std::unique_ptr<PhasedKernel> inner, std::uint32_t bad,
+               Where where = Where::Compute)
+      : inner_(std::move(inner)), bad_(bad), where_(where) {}
 
   KernelShape shape() const override { return inner_->shape(); }
   std::uint32_t ref(std::uint32_t r, std::uint64_t edge) const override {
@@ -191,6 +197,9 @@ class FaultyKernel final : public PhasedKernel {
   }
   void init_node_arrays(
       std::vector<std::vector<double>>& arrays) const override {
+    if (where_ == Where::Init && init_calls_.fetch_add(1) == bad_)
+      throw InjectedFault("injected init fault on call " +
+                          std::to_string(bad_));
     inner_->init_node_arrays(arrays);
   }
   void compute_edge(earth::FiberContext& ctx, const CostTags& tags,
@@ -216,19 +225,34 @@ class FaultyKernel final : public PhasedKernel {
       std::span<const std::uint32_t> perm) const override {
     std::unique_ptr<PhasedKernel> inner = inner_->clone_renumbered(perm);
     if (!inner) return nullptr;
-    return std::make_unique<FaultyKernel>(std::move(inner), bad_proc_);
+    return std::make_unique<FaultyKernel>(std::move(inner), bad_, where_);
   }
 
  private:
   void fail_on(const earth::FiberContext& ctx) const {
-    if (ctx.node() == bad_proc_)
+    if (where_ == Where::Compute && ctx.node() == bad_)
       throw InjectedFault("injected kernel fault on proc " +
-                          std::to_string(bad_proc_));
+                          std::to_string(bad_));
   }
 
   std::unique_ptr<PhasedKernel> inner_;
-  std::uint32_t bad_proc_;
+  std::uint32_t bad_;
+  Where where_;
+  mutable std::atomic<std::uint32_t> init_calls_{0};
 };
+
+/// Runs `opt` on `kernel`, expecting the injected fault to reach the
+/// caller as the original exception within 5 s.
+void expect_fault_reaches_caller(const PhasedKernel& kernel,
+                                 const NativeOptions& opt,
+                                 const std::string& what) {
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_native_engine(kernel, opt), InjectedFault) << what;
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(seconds, 5.0) << what;
+}
 
 TEST(NativeEngine, WorkerExceptionStopsTheTeamAndReachesTheCaller) {
   // A kernel fault on one worker must reach the caller as the original,
@@ -240,29 +264,46 @@ TEST(NativeEngine, WorkerExceptionStopsTheTeamAndReachesTheCaller) {
       std::make_unique<kernels::Fig1Kernel>(
           kernels::Fig1Kernel::with_integer_values(
               mesh::make_geometric_mesh({96, 500, 21}))),
-      /*bad_proc=*/1);
+      /*bad=*/1);
   for (const StrategyKind strategy :
        {StrategyKind::Phased, StrategyKind::Privatized}) {
     for (const bool batch : {true, false}) {
-      for (const bool first_touch : {false, true}) {
-        NativeOptions opt;
-        opt.num_procs = 4;
-        opt.k = 2;
-        opt.sweeps = 3;
-        opt.stall_timeout = 0.0;
-        opt.strategy = strategy;
-        opt.batch = batch;
-        opt.affinity.first_touch = first_touch;
-        const std::string what = std::string(to_string(strategy)) +
-                                 (batch ? " batched" : " per-edge") +
-                                 (first_touch ? " first-touch" : "");
-        const auto t0 = std::chrono::steady_clock::now();
-        EXPECT_THROW(run_native_engine(kernel, opt), InjectedFault) << what;
-        const double seconds = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
-        EXPECT_LT(seconds, 5.0) << what;
-      }
+      NativeOptions opt;
+      opt.plan.num_procs = 4;
+      opt.plan.k = 2;
+      opt.plan.strategy = strategy;
+      opt.sweep.sweeps = 3;
+      opt.sweep.stall_timeout = 0.0;
+      opt.sweep.batch = batch;
+      expect_fault_reaches_caller(
+          kernel, opt,
+          std::string(to_string(strategy)) +
+              (batch ? " batched" : " per-edge"));
+    }
+  }
+}
+
+TEST(NativeEngine, InitFaultOnOneWorkerReachesTheCaller) {
+  // Each worker builds its own per-run state before the team barrier. A
+  // fault there must release the workers already waiting at the barrier
+  // and reach the caller as the original exception, also with unbounded
+  // waits (stall_timeout = 0). Every one of the P init calls is tried.
+  for (const StrategyKind strategy :
+       {StrategyKind::Phased, StrategyKind::Privatized}) {
+    for (std::uint32_t bad = 0; bad < 4; ++bad) {
+      const FaultyKernel kernel(
+          std::make_unique<kernels::EulerKernel>(
+              mesh::make_geometric_mesh({160, 700, 8})),
+          bad, FaultyKernel::Where::Init);
+      NativeOptions opt;
+      opt.plan.num_procs = 4;
+      opt.plan.k = 2;
+      opt.plan.strategy = strategy;
+      opt.sweep.sweeps = 3;
+      opt.sweep.stall_timeout = 0.0;
+      expect_fault_reaches_caller(kernel, opt,
+                                  std::string(to_string(strategy)) +
+                                      " init call " + std::to_string(bad));
     }
   }
 }

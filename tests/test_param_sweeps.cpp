@@ -127,11 +127,11 @@ TEST_P(RotationEngineSweep, ExactlyMatchesSequential) {
 TEST_P(RotationEngineSweep, NativeThreadsMatchSequential) {
   const auto [P, k, dist, dedup] = GetParam();
   core::NativeOptions opt;
-  opt.num_procs = P;
-  opt.k = k;
-  opt.distribution = dist;
-  opt.inspector.dedup_buffers = dedup;
-  opt.sweeps = 3;
+  opt.plan.num_procs = P;
+  opt.plan.k = k;
+  opt.plan.distribution = dist;
+  opt.plan.inspector.dedup_buffers = dedup;
+  opt.sweep.sweeps = 3;
   const core::NativeResult par = core::run_native_engine(kernel(), opt);
   const core::RunResult& seq = sequential();
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)

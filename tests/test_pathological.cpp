@@ -73,9 +73,9 @@ void check_all_engines(const mesh::Mesh& mesh, std::uint32_t procs,
   const core::RunResult cls = core::run_classic_engine(kernel, copt);
 
   core::NativeOptions nopt;
-  nopt.num_procs = procs;
-  nopt.k = k;
-  nopt.sweeps = 2;
+  nopt.plan.num_procs = procs;
+  nopt.plan.k = k;
+  nopt.sweep.sweeps = 2;
   const core::NativeResult nat = core::run_native_engine(kernel, nopt);
 
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i) {

@@ -288,5 +288,46 @@ TEST(JobBuilderMutate, MatchesRewiredRegeneratedBaseWithOrWithoutBaseLine) {
   }
 }
 
+TEST(JobBuilderKernels, BudgetBoundsKeptKernelsAndEvictionKeepsMutations) {
+  // Forty distinct 30k-node lines (~3.6 MB of kernel each, 144 MB in
+  // all) pass through one builder: the kept bytes never exceed the
+  // budget, and the least recently used kernels go first. A mutate= line
+  // whose base was dropped re-synthesizes it and yields the same job.
+  service::JobBuilder builder;
+  const std::string base_line = "kernel=euler nodes=30000 edges=180000 seed=7";
+  const std::string mutate_line =
+      base_line + " procs=3 k=2 sweeps=2 mutate=50 mutate-seed=9";
+  const auto mutated = [&] {
+    const service::JobBuild b = builder.build(mutate_line, 1);
+    EXPECT_TRUE(b.ok()) << b.code << ": " << b.detail;
+    return b.requests.at(0);
+  };
+  const service::JobRequest before = mutated();
+
+  for (int i = 0; i < 40; ++i) {
+    const service::JobBuild b = builder.build(
+        "kernel=euler nodes=30000 edges=180000 seed=" +
+            std::to_string(100 + i),
+        2);
+    ASSERT_TRUE(b.ok()) << b.code << ": " << b.detail;
+    EXPECT_LE(builder.kept_kernel_bytes(),
+              service::JobBuilder::kKernelBudgetBytes)
+        << i;
+  }
+  // The base line was the least recently used, so it is gone.
+  EXPECT_LT(builder.kept_kernels(), 40u);
+
+  const service::JobRequest after = mutated();
+  EXPECT_EQ(after.changed_edges, before.changed_edges);
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+  EXPECT_EQ(after.patch_base, before.patch_base);
+  core::NativeOptions opt;
+  opt.plan = before.plan;
+  opt.sweep.sweeps = before.sweeps;
+  EXPECT_EQ(service::result_digest(core::run_native_engine(*after.kernel, opt)),
+            service::result_digest(
+                core::run_native_engine(*before.kernel, opt)));
+}
+
 }  // namespace
 }  // namespace earthred

@@ -42,18 +42,18 @@ TEST(SharedPlan, ReusedScheduleIsBitIdenticalToColdRuns) {
       mesh::make_geometric_mesh({150, 900, 5}));
 
   core::NativeOptions cold;
-  cold.num_procs = 4;
-  cold.k = 2;
-  cold.sweeps = 3;
+  cold.plan.num_procs = 4;
+  cold.plan.k = 2;
+  cold.sweep.sweeps = 3;
   const core::NativeResult cold1 = run_native_engine(kernel, cold);
   const core::NativeResult cold2 = run_native_engine(kernel, cold);
 
   const core::ExecutionPlan plan =
-      core::build_execution_plan(kernel, cold.plan());
+      core::build_execution_plan(kernel, cold.plan);
   const core::NativeResult warm1 =
-      core::run_native_plan(kernel, plan, cold.sweep());
+      core::run_native_plan(kernel, plan, cold.sweep);
   const core::NativeResult warm2 =
-      core::run_native_plan(kernel, plan, cold.sweep());
+      core::run_native_plan(kernel, plan, cold.sweep);
 
   ASSERT_EQ(warm1.reduction.size(), cold1.reduction.size());
   for (std::size_t a = 0; a < cold1.reduction.size(); ++a)
@@ -70,14 +70,14 @@ TEST(SharedPlan, EulerFloatingPointAlsoBitIdentical) {
   const kernels::EulerKernel kernel(
       mesh::make_geometric_mesh({120, 600, 6}));
   core::NativeOptions opt;
-  opt.num_procs = 3;
-  opt.k = 2;
-  opt.sweeps = 4;
+  opt.plan.num_procs = 3;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 4;
   const core::NativeResult cold = run_native_engine(kernel, opt);
   const core::ExecutionPlan plan =
-      core::build_execution_plan(kernel, opt.plan());
+      core::build_execution_plan(kernel, opt.plan);
   const core::NativeResult warm =
-      core::run_native_plan(kernel, plan, opt.sweep());
+      core::run_native_plan(kernel, plan, opt.sweep);
   for (std::size_t a = 0; a < cold.node_read.size(); ++a)
     for (std::size_t i = 0; i < cold.node_read[a].size(); ++i)
       ASSERT_EQ(warm.node_read[a][i], cold.node_read[a][i]);

@@ -72,8 +72,8 @@ TEST(SpmvT, NativeEngineMatches) {
   const SpmvTKernel kernel = make_kernel(128, 7);
   const auto want = kernel.reference();
   core::NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 2;
   const core::NativeResult r = core::run_native_engine(kernel, opt);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_NEAR(r.reduction[0][i], want[i],

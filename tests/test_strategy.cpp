@@ -253,9 +253,9 @@ TEST(StrategyExec, AutoResolvesToConcreteStrategy) {
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
       mesh::make_geometric_mesh({96, 500, 21}));
   core::NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 2;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 2;
+  opt.sweep.sweeps = 2;
   const core::NativeResult r = core::run_native_engine(kernel, opt);
   EXPECT_NE(r.strategy, StrategyKind::Auto);
   EXPECT_EQ(r.strategy,

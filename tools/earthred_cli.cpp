@@ -11,8 +11,9 @@
 //                        [--gantt]
 //                        native engine only:
 //                        [--batch|--no-batch] (batched compute_phase hot
-//                        path, default on) [--pin] (worker pinning +
-//                        first-touch)
+//                        path, default on) [--pin] (pin worker p to
+//                        CPU p mod ncpu; every worker builds its own
+//                        per-run state either way)
 //                        [--backend=auto|scalar|avx2|avx512] (compute
 //                        backend for the batched loops; auto picks the
 //                        widest tier the host supports, an explicit tier
@@ -302,15 +303,10 @@ int cmd_info(const Options& opt) {
 
 /// Parsing of the native-engine hot-path flags of `run`:
 /// --batch/--no-batch, --pin, --backend.
-void hotpath_from_options(const Options& opt, bool& batch,
-                          core::AffinityOptions& affinity,
-                          core::BackendKind& backend) {
-  batch = opt.has("no-batch") ? false : opt.get_bool("batch", true);
-  backend = core::parse_backend(opt.get("backend", "auto"));
-  if (opt.get_bool("pin", false)) {
-    affinity.pin_threads = true;
-    affinity.first_touch = true;
-  }
+void hotpath_from_options(const Options& opt, core::SweepOptions& sweep) {
+  sweep.batch = opt.has("no-batch") ? false : opt.get_bool("batch", true);
+  sweep.backend = core::parse_backend(opt.get("backend", "auto"));
+  sweep.affinity.pin_threads = opt.get_bool("pin", false);
 }
 
 earth::FaultConfig fault_from_options(const Options& opt) {
@@ -434,20 +430,20 @@ int cmd_run(const Options& opt) {
   t.set_header({"metric", "value"});
   if (engine == "native") {
     core::NativeOptions nopt;
-    nopt.num_procs = procs;
-    nopt.k = k;
-    nopt.distribution = dist;
-    nopt.sweeps = sweeps;
-    hotpath_from_options(opt, nopt.batch, nopt.affinity, nopt.backend);
-    nopt.strategy = core::parse_strategy(opt.get("strategy", "auto"));
-    nopt.layout = core::parse_layout(opt.get("layout", "none"));
+    nopt.plan.num_procs = procs;
+    nopt.plan.k = k;
+    nopt.plan.distribution = dist;
+    nopt.plan.strategy = core::parse_strategy(opt.get("strategy", "auto"));
+    nopt.plan.layout = core::parse_layout(opt.get("layout", "none"));
+    nopt.sweep.sweeps = sweeps;
+    hotpath_from_options(opt, nopt.sweep);
     const core::ExecutionPlan plan =
-        core::build_execution_plan(*kernel, nopt.plan());
+        core::build_execution_plan(*kernel, nopt.plan);
     const core::NativeResult r =
-        core::run_native_plan(*kernel, plan, nopt.sweep());
+        core::run_native_plan(*kernel, plan, nopt.sweep);
     t.add_row({"plan build seconds", fmt_f(plan.build_seconds, 4)});
     t.add_row({"wall seconds (host threads)", fmt_f(r.wall_seconds, 4)});
-    t.add_row({"executor", nopt.batch ? "batched" : "per-edge"});
+    t.add_row({"executor", nopt.sweep.batch ? "batched" : "per-edge"});
     t.add_row({"backend", std::string(core::to_string(r.backend))});
     t.add_row({"strategy", std::string(core::to_string(r.strategy))});
     t.add_row({"layout", std::string(core::to_string(plan.applied_layout)) +

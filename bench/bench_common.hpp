@@ -9,6 +9,9 @@
 // not expected to match the paper; the speedup *shapes* are.
 #pragma once
 
+#include <sched.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -16,13 +19,42 @@
 
 #include "core/result.hpp"
 #include "earth/types.hpp"
+#include "support/cpu_features.hpp"
 #include "support/json.hpp"
 #include "support/options.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
 
+#ifndef EARTHRED_BUILD_TYPE
+#define EARTHRED_BUILD_TYPE "unknown"
+#endif
+
 namespace earthred::bench {
+
+/// Stamps a JSONL record with the host it was measured on, under the
+/// field names perfbench's stamp uses: CPUs this process may run on,
+/// hardware threads, CPU feature flags, cache geometry, build type and
+/// compiler.
+inline JsonWriter& stamp_host(JsonWriter& w) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int nproc =
+      sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return w.field("nproc", static_cast<std::int64_t>(nproc))
+      .field("hardware_threads", support::hardware_threads())
+      .field("cpu_flags", support::to_string(support::host_cpu_features()))
+      .field("cache", support::to_string(support::host_cache_info()))
+      .field("build_type", EARTHRED_BUILD_TYPE)
+      .field("compiler", compiler);
+}
 
 constexpr double kClockHz = 50e6;  // i860XP clock
 

@@ -60,7 +60,7 @@ int main() {
       return s.empty() ? "-" : s;
     };
     out.add_row({std::to_string(ph), join(phase.iter_global),
-                 join(phase.indir[0]), join(phase.indir[1]),
+                 join(phase.row(0)), join(phase.row(1)),
                  join(phase.copy_dst), join(phase.copy_src)});
   }
   out.print(std::cout);

@@ -489,7 +489,6 @@ int run(const Options& opt) {
   lt.print(std::cout);
 
   // ---- Part 2: cold plan build ----------------------------------------
-  const unsigned hw = support::hardware_threads();
   const Workload& build_wl = workloads[1];  // euler: the largest inspector
   core::PlanOptions popt;
   popt.num_procs = procs;
@@ -605,13 +604,13 @@ int run(const Options& opt) {
 
   if (opt.has("strategy-json")) {
     JsonWriter w;
-    w.field("bench", "strategy")
+    w.field("bench", "strategy");
+    bench::stamp_host(w)
         .field("small", small)
         .field("procs", static_cast<std::uint64_t>(procs))
         .field("k", static_cast<std::uint64_t>(k))
         .field("sweeps", static_cast<std::uint64_t>(sweeps))
         .field("reps", static_cast<std::uint64_t>(reps))
-        .field("hardware_threads", static_cast<std::uint64_t>(hw))
         .raw_field("kernels", json_array(strategy_json))
         .field("agree", strategies_agree)
         .field("worst_auto_over_best", worst_auto_ratio);
@@ -622,7 +621,8 @@ int run(const Options& opt) {
 
   if (opt.has("layout-json")) {
     JsonWriter w;
-    w.field("bench", "layout")
+    w.field("bench", "layout");
+    bench::stamp_host(w)
         .field("small", small)
         .field("procs", static_cast<std::uint64_t>(procs))
         .field("k", static_cast<std::uint64_t>(k))
@@ -631,7 +631,6 @@ int run(const Options& opt) {
         .field("kernel", "euler")
         .field("edges", lay_edges)
         .field("nodes", static_cast<std::uint64_t>(lay_params.num_nodes))
-        .field("caches", support::to_string(support::host_cache_info()))
         .field("none_applied",
                std::string(core::to_string(lay_applied[0])))
         .field("auto_applied",
@@ -650,14 +649,13 @@ int run(const Options& opt) {
 
   if (opt.has("backend-json")) {
     JsonWriter w;
-    w.field("bench", "backend")
+    w.field("bench", "backend");
+    bench::stamp_host(w)
         .field("small", small)
         .field("procs", static_cast<std::uint64_t>(procs))
         .field("k", static_cast<std::uint64_t>(k))
         .field("sweeps", static_cast<std::uint64_t>(sweeps))
         .field("reps", static_cast<std::uint64_t>(reps))
-        .field("hardware_threads", static_cast<std::uint64_t>(hw))
-        .field("cpu", support::to_string(support::host_cpu_features()))
         .raw_field("kernels", json_array(backend_json))
         .field("bit_identical", backend_identical)
         .field("best_simd_speedup", best_backend_speedup);
@@ -668,13 +666,13 @@ int run(const Options& opt) {
 
   if (opt.has("json")) {
     JsonWriter w;
-    w.field("bench", "hotpath")
+    w.field("bench", "hotpath");
+    bench::stamp_host(w)
         .field("small", small)
         .field("procs", static_cast<std::uint64_t>(procs))
         .field("k", static_cast<std::uint64_t>(k))
         .field("sweeps", static_cast<std::uint64_t>(sweeps))
         .field("reps", static_cast<std::uint64_t>(reps))
-        .field("hardware_threads", static_cast<std::uint64_t>(hw))
         .raw_field("executors", json_array(exec_json))
         .field("plan_build_serial_seconds", build_s)
         .field("verify_pass_seconds", verify_s)

@@ -46,7 +46,6 @@
 #include "mesh/generators.hpp"
 #include "service/plan_cache.hpp"
 #include "service/plan_store.hpp"
-#include "support/cpu_features.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
@@ -295,9 +294,8 @@ int run(const Options& opt) {
       rows.push_back(w.str());
     }
     JsonWriter w;
-    w.field("bench", "planstore")
-        .field("hardware_threads",
-               static_cast<std::uint64_t>(support::hardware_threads()))
+    w.field("bench", "planstore");
+    bench::stamp_host(w)
         .field("small", small)
         .field("reps", static_cast<std::uint64_t>(reps))
         .field("mutated_edges", mutate)

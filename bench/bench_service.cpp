@@ -57,7 +57,6 @@
 #include "shard/endpoint_pool.hpp"
 #include "shard/shard_map.hpp"
 #include "shard/shard_router.hpp"
-#include "support/cpu_features.hpp"
 #include "support/options.hpp"
 
 namespace earthred {
@@ -596,9 +595,8 @@ int run(const Options& opt) {
 
   if (opt.has("json")) {
     JsonWriter w;
-    w.field("bench", "service")
-        .field("hardware_threads",
-               static_cast<std::uint64_t>(support::hardware_threads()))
+    w.field("bench", "service");
+    bench::stamp_host(w)
         .field("jobs", static_cast<std::uint64_t>(jobs))
         .field("workers", static_cast<std::uint64_t>(workers))
         .field("sweeps", static_cast<std::uint64_t>(sweeps))

@@ -147,9 +147,8 @@ void reorder_phase_target_stable(const PhasedKernel& kernel,
   std::vector<std::uint32_t> touched;
   std::vector<std::uint32_t> truej(R);
   for (std::size_t j = 0; j < n; ++j) {
-    std::uint32_t k = ph.indir[0][j];
-    for (std::uint32_t r = 1; r < R; ++r)
-      k = std::min(k, ph.indir[r][j]);
+    std::uint32_t k = ph.row(0)[j];
+    for (std::uint32_t r = 1; r < R; ++r) k = std::min(k, ph.row(r)[j]);
     key[j] = k;
     const std::uint32_t e = ph.iter_global[j];
     for (std::uint32_t r = 0; r < R; ++r) {
@@ -199,6 +198,12 @@ void reorder_phase_target_stable(const PhasedKernel& kernel,
   }
   ER_ENSURES(order.size() == n);  // chains are acyclic by construction
 
+  std::vector<std::uint32_t> indir(static_cast<std::size_t>(R) * n);
+  for (std::uint32_t r = 0; r < R; ++r) {
+    const std::span<const std::uint32_t> row = ph.row(r);
+    for (std::size_t i = 0; i < n; ++i) indir[r * n + i] = row[order[i]];
+  }
+  ph.indir_flat = inspector::U32Buf(std::move(indir));
   const auto permute = [&](inspector::U32Buf& buf) {
     std::vector<std::uint32_t> out(n);
     for (std::size_t i = 0; i < n; ++i) out[i] = buf[order[i]];
@@ -206,8 +211,6 @@ void reorder_phase_target_stable(const PhasedKernel& kernel,
   };
   permute(ph.iter_global);
   permute(ph.iter_local);
-  for (std::uint32_t r = 0; r < R; ++r) permute(ph.indir[r]);
-  ph.flatten_indir();
 }
 
 /// Rough bytes streamed per iteration by the batched loops (indices plus
@@ -458,16 +461,17 @@ inspector::PlanVerifyReport verify_execution_plan(
     const InspectorResult& insp = plan.insp[p];
     for (const inspector::PhaseSchedule& phase : insp.phases) {
       const std::size_t n = phase.iter_global.size();
-      for (std::size_t r = 0; r < phase.indir.size(); ++r) {
-        if (phase.indir[r].size() != n) continue;  // already E-PLAN-SHAPE
+      if (phase.indir_flat.size() != plan.shape.num_refs * n)
+        continue;  // already E-PLAN-SHAPE
+      for (std::uint32_t r = 0; r < plan.shape.num_refs; ++r) {
+        const std::span<const std::uint32_t> row = phase.row(r);
         for (std::size_t j = 0; j < n; ++j) {
           const std::uint64_t g = phase.iter_global[j];
           if (g >= plan.shape.num_edges) continue;  // already E-PLAN-OOB
-          std::uint32_t expected =
-              kernel->ref(static_cast<std::uint32_t>(r), g);
+          std::uint32_t expected = kernel->ref(r, g);
           if (!perm.empty() && expected < perm.size())
             expected = perm[expected];
-          const std::uint32_t v = phase.indir[r][j];
+          const std::uint32_t v = row[j];
           std::uint32_t actual = v;
           if (v >= n_elems) {
             const std::uint64_t slot =

@@ -154,27 +154,18 @@ bool parse_payload(const PlanFileHeader& h,
     for (inspector::PhaseSchedule& ph : insp.phases) {
       ph.iter_global.adopt(r.u32_array());
       ph.iter_local.adopt(r.u32_array());
-      const std::span<const std::uint32_t> flat = r.u32_array();
-      ph.indir_flat.adopt(flat);
+      ph.indir_flat.adopt(r.u32_array());
       ph.copy_dst.adopt(r.u32_array());
       ph.copy_src.adopt(r.u32_array());
       if (r.fail()) return fail("payload ends inside a phase record");
       const std::size_t n = ph.iter_global.size();
       if (ph.iter_local.size() != n ||
-          flat.size() != static_cast<std::size_t>(h.num_refs) * n ||
+          ph.indir_flat.size() != static_cast<std::size_t>(h.num_refs) * n ||
           ph.copy_dst.size() != ph.copy_src.size())
         return fail(strformat("processor %u: phase array lengths "
                               "disagree with each other or with "
                               "num_refs=%u",
                               p, h.num_refs));
-      // Reconstruct the indir rows as subspans of the flattened block —
-      // the stored form carries no independent row data, and the shared
-      // pointers are what lets the verifier prove the flatten invariant
-      // by identity.
-      ph.indir.resize(h.num_refs);
-      for (std::uint32_t ref = 0; ref < h.num_refs; ++ref)
-        ph.indir[ref].adopt(flat.subspan(static_cast<std::size_t>(ref) * n,
-                                         n));
     }
     insp.assigned_phase.adopt(r.u32_array());
     insp.slot_elem.adopt(r.u32_array());
@@ -221,8 +212,6 @@ std::vector<std::byte> serialize_plan(const ExecutionPlan& plan,
     for (const inspector::PhaseSchedule& ph : insp.phases) {
       payload.u32_array(ph.iter_global);
       payload.u32_array(ph.iter_local);
-      // The indir rows are derivable from the flattened block (the
-      // E-PLAN-FLAT invariant) and are deliberately not stored.
       payload.u32_array(ph.indir_flat);
       payload.u32_array(ph.copy_dst);
       payload.u32_array(ph.copy_src);
@@ -419,10 +408,8 @@ bool plans_bit_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
       if (!(u.iter_global == v.iter_global) ||
           !(u.iter_local == v.iter_local) ||
           !(u.indir_flat == v.indir_flat) || !(u.copy_dst == v.copy_dst) ||
-          !(u.copy_src == v.copy_src) || u.indir.size() != v.indir.size())
+          !(u.copy_src == v.copy_src))
         return false;
-      for (std::size_t ref = 0; ref < u.indir.size(); ++ref)
-        if (!(u.indir[ref] == v.indir[ref])) return false;
     }
   }
   return true;

@@ -27,11 +27,9 @@
 // 8-byte-aligned data — the
 // alignment that lets load_plan_file adopt the arrays as views into the
 // file's memory mapping (zero-copy warm start; the mapping's lifetime is
-// held by ExecutionPlan::storage). Per-phase `indir` rows are not
-// serialized: only the flattened ref-major block is stored and the loader
-// reconstructs row r as the subspan indir_flat[r*n, (r+1)*n) — exactly
-// the flatten invariant the verifier's E-PLAN-FLAT check enforces, proven
-// on the loaded-plan fast path by pointer identity.
+// held by ExecutionPlan::storage). A phase's redirected indirection is
+// its one ref-major block (PhaseSchedule::indir_flat), stored and adopted
+// as is; PhaseSchedule::row(r) reads reference r's slice of it.
 //
 // Trust model: disk is untrusted input. A load is admitted only after
 // header identity (magic/endian/version/verifier), the payload checksum,

@@ -153,7 +153,7 @@ RunResult run_rotation_engine(const PhasedKernel& kernel,
             std::vector<std::uint32_t> redirected(shape.num_refs);
             for (std::size_t j = 0; j < phase.iter_global.size(); ++j) {
               for (std::uint32_t r = 0; r < shape.num_refs; ++r) {
-                redirected[r] = phase.indir[r][j];
+                redirected[r] = phase.row(r)[j];
                 ctx.load(tags.indir,
                          (ps.slot_base[ph] + j) * shape.num_refs + r, 4);
               }

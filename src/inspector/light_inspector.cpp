@@ -8,15 +8,6 @@
 
 namespace earthred::inspector {
 
-void PhaseSchedule::flatten_indir() {
-  // clear() releases an adopted view without copying; the rows may still
-  // be views into the same mapping (kept alive by the plan's storage
-  // handle), so appending them below reads valid memory.
-  indir_flat.clear();
-  indir_flat.reserve(indir.size() * iter_global.size());
-  for (const U32Buf& row : indir) indir_flat.append(row);
-}
-
 std::vector<std::uint64_t> InspectorResult::phase_sizes() const {
   std::vector<std::uint64_t> sizes;
   sizes.reserve(phases.size());
@@ -85,29 +76,24 @@ class SlotAllocator {
   std::unordered_map<std::uint32_t, std::uint32_t> dedup_map_;
 };
 
-/// Assigns one iteration: computes its phase, appends it with redirected
-/// references.
-void place_iteration(const RotationSchedule& sched, std::uint32_t proc,
-                     const IterationRefs& iters, std::uint32_t local,
-                     InspectorResult& result, SlotAllocator& slots) {
-  const std::size_t nrefs = iters.num_refs();
-  // Step 1 (per iteration): earliest owning phase over all references.
+/// Earliest phase in which `proc` owns one of the referenced elements.
+template <typename RefAt>
+std::uint32_t earliest_phase(const RotationSchedule& sched, std::uint32_t proc,
+                             std::size_t nrefs, RefAt ref_at) {
   std::uint32_t assigned = sched.phases_per_sweep();
-  for (std::size_t r = 0; r < nrefs; ++r) {
-    const std::uint32_t ph =
-        sched.owning_phase(proc, sched.portion_of(iters.refs[r][local]));
-    assigned = std::min(assigned, ph);
-  }
-  // Step 2: append to the phase with redirected references.
-  PhaseSchedule& phase = result.phases[assigned];
-  phase.iter_global.push_back(iters.global_iter[local]);
-  phase.iter_local.push_back(local);
-  for (std::size_t r = 0; r < nrefs; ++r) {
-    const std::uint32_t elem = iters.refs[r][local];
-    const std::uint32_t ph = sched.owning_phase(proc, sched.portion_of(elem));
-    phase.indir[r].push_back(ph == assigned ? elem : slots.defer(elem));
-  }
-  result.assigned_phase[local] = assigned;
+  for (std::size_t r = 0; r < nrefs; ++r)
+    assigned = std::min(
+        assigned, sched.owning_phase(proc, sched.portion_of(ref_at(r))));
+  return assigned;
+}
+
+/// Reference count of a result, read off any non-empty phase (an empty
+/// phase's block does not carry it); 0 when no phase holds an iteration.
+std::size_t num_refs_of(const InspectorResult& result) {
+  for (const PhaseSchedule& p : result.phases)
+    if (!p.iter_global.empty())
+      return p.indir_flat.size() / p.iter_global.size();
+  return 0;
 }
 
 }  // namespace
@@ -118,17 +104,53 @@ InspectorResult run_light_inspector(const RotationSchedule& sched,
                                     const LightInspectorOptions& opt) {
   ER_EXPECTS(proc < sched.num_procs());
   check_refs(sched, iters);
+  const std::size_t nrefs = iters.num_refs();
+  const std::size_t n_iters = iters.num_iterations();
 
   InspectorResult result;
   result.phases.resize(sched.phases_per_sweep());
-  for (PhaseSchedule& p : result.phases) p.indir.resize(iters.num_refs());
-  result.assigned_phase.assign(iters.num_iterations(), 0);
+  result.assigned_phase.resize(n_iters);
 
+  // Step 1 (per iteration): the earliest owning phase over all
+  // references, counted per phase so each phase's arrays are sized once.
+  std::span<std::uint32_t> assigned = result.assigned_phase.mutate();
+  std::vector<std::size_t> count(result.phases.size(), 0);
+  for (std::size_t i = 0; i < n_iters; ++i) {
+    assigned[i] = earliest_phase(sched, proc, nrefs, [&](std::size_t r) {
+      return iters.refs[r][i];
+    });
+    ++count[assigned[i]];
+  }
+  struct Fill {
+    std::span<std::uint32_t> glob, local, indir;
+    std::size_t n = 0, next = 0;
+  };
+  std::vector<Fill> fill(result.phases.size());
+  for (std::size_t ph = 0; ph < result.phases.size(); ++ph) {
+    PhaseSchedule& phase = result.phases[ph];
+    phase.iter_global.resize(count[ph]);
+    phase.iter_local.resize(count[ph]);
+    phase.indir_flat.resize(nrefs * count[ph]);
+    fill[ph] = {phase.iter_global.mutate(), phase.iter_local.mutate(),
+                phase.indir_flat.mutate(), count[ph], 0};
+  }
+
+  // Step 2: append each iteration, in local order, to its phase with
+  // redirected references. Slots are allocated in (iteration, reference)
+  // order, which is what makes a fresh result canonical.
   SlotAllocator slots(result, sched, proc, opt.dedup_buffers);
-  for (std::uint32_t i = 0; i < iters.num_iterations(); ++i)
-    place_iteration(sched, proc, iters, i, result, slots);
+  for (std::uint32_t i = 0; i < n_iters; ++i) {
+    Fill& f = fill[assigned[i]];
+    const std::size_t j = f.next++;
+    f.glob[j] = iters.global_iter[i];
+    f.local[j] = i;
+    for (std::size_t r = 0; r < nrefs; ++r) {
+      const std::uint32_t elem = iters.refs[r][i];
+      const std::uint32_t ph = sched.owning_phase(proc, sched.portion_of(elem));
+      f.indir[r * f.n + j] = ph == assigned[i] ? elem : slots.defer(elem);
+    }
+  }
 
-  for (PhaseSchedule& p : result.phases) p.flatten_indir();
   result.local_array_size =
       static_cast<std::uint64_t>(sched.num_elements()) +
       result.num_buffer_slots;
@@ -147,7 +169,7 @@ InspectorResult run_light_inspector(const RotationSchedule& sched,
 // the freed slots and the re-inserted references alone, via one merge
 // over the slot list — no full re-ranking of every reference. The only
 // O(total refs) work left is two branch-light sweeps of the resident
-// rows: a redirect count (to position the changed iterations among the
+// blocks: a redirect count (to position the changed iterations among the
 // survivors) and the redirect rewrite itself.
 InspectorResult update_light_inspector(const RotationSchedule& sched,
                                        std::uint32_t proc,
@@ -163,8 +185,7 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
                  "of a prior update)");
   const std::uint32_t n_elems = sched.num_elements();
   const std::size_t n_iters = previous.assigned_phase.size();
-  const std::size_t num_refs =
-      previous.phases.empty() ? 0 : previous.phases[0].indir.size();
+  const std::size_t num_refs = num_refs_of(previous);
   for (std::size_t i = 0; i < changes.size(); ++i) {
     const ChangedIteration& ch = changes[i];
     ER_EXPECTS_MSG(ch.local < n_iters, "changed iteration index out of range");
@@ -201,33 +222,38 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     std::uint32_t local;  // the changed iteration it belonged to
   };
   std::vector<FreedSlot> freed;
+  std::vector<std::uint32_t> kept;  // surviving positions of one phase
   for (std::uint32_t ph : affected) {
     PhaseSchedule& phase = result.phases[ph];
     const std::size_t n = phase.iter_local.size();
     std::span<std::uint32_t> il = phase.iter_local.mutate();
     std::span<std::uint32_t> ig = phase.iter_global.mutate();
-    std::vector<std::span<std::uint32_t>> rows;
-    rows.reserve(phase.indir.size());
-    for (U32Buf& row : phase.indir) rows.push_back(row.mutate());
-    std::size_t w = 0;
+    std::span<std::uint32_t> blk = phase.indir_flat.mutate();
+    kept.clear();
     for (std::size_t j = 0; j < n; ++j) {
       if (std::binary_search(cl.begin(), cl.end(), il[j])) {
-        for (const auto& row : rows)
-          if (row[j] >= n_elems) {
-            const std::uint32_t slot = row[j] - n_elems;
+        for (std::size_t r = 0; r < num_refs; ++r)
+          if (blk[r * n + j] >= n_elems) {
+            const std::uint32_t slot = blk[r * n + j] - n_elems;
             result.free_slots.push_back(slot);
             freed.push_back({slot, il[j]});
           }
         continue;  // drop this entry
       }
-      ig[w] = ig[j];
-      il[w] = il[j];
-      for (auto& row : rows) row[w] = row[j];
-      ++w;
+      ig[kept.size()] = ig[j];
+      il[kept.size()] = il[j];
+      kept.push_back(static_cast<std::uint32_t>(j));
     }
+    // Compact the block row by row at the new stride; every write lands
+    // at or before the entry it reads, and after every entry still
+    // unread, so in place is safe.
+    const std::size_t w = kept.size();
+    for (std::size_t r = 0; r < num_refs; ++r)
+      for (std::size_t i = 0; i < w; ++i)
+        blk[r * w + i] = blk[r * n + kept[i]];
     phase.iter_global.resize(w);
     phase.iter_local.resize(w);
-    for (U32Buf& row : phase.indir) row.resize(w);
+    phase.indir_flat.resize(num_refs * w);
   }
   // The fold entries that fed the freed slots are NOT compacted here:
   // step 6 regenerates the second loop of every phase whose lists differ
@@ -237,17 +263,16 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   // --- 2. A[i]: number of old deferred references at positions before
   // (changes[i].local, 0) — the changed iteration's place in the old slot
   // order. Counted as surviving redirects with iter_local < local (one
-  // branch-light sweep of the resident rows) plus the freed slots of
+  // branch-light sweep of the resident blocks) plus the freed slots of
   // earlier changed iterations.
   std::vector<std::uint32_t> A(cl.size(), 0);
   {
     std::vector<std::uint32_t> bump(cl.size() + 1, 0);
     for (const PhaseSchedule& phase : result.phases) {
       const std::uint32_t* il = phase.iter_local.data();
-      for (const U32Buf& rowbuf : phase.indir) {
-        const std::uint32_t* row = rowbuf.data();
-        const std::size_t n = rowbuf.size();
-        for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t r = 0; r < num_refs; ++r) {
+        const std::span<const std::uint32_t> row = phase.row(r);
+        for (std::size_t j = 0; j < row.size(); ++j)
           if (row[j] >= n_elems)
             ++bump[static_cast<std::size_t>(
                 std::upper_bound(cl.begin(), cl.end(), il[j]) - cl.begin())];
@@ -265,31 +290,24 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     }
   }
 
-  // --- 3. Re-insert the changed iterations with their new references,
-  // recording where each one landed. Insertion order follows `changes`
-  // (ascending local), so each phase's appended tail is already sorted.
+  // --- 3. Redirect the changed iterations' new references and pick
+  // their phases. They are placed in step 5; until then their redirected
+  // references live in `tail_refs` (change-major) and `tails[ph]` lists
+  // the changes landing in phase ph, in ascending local order.
   SlotAllocator slots(result, sched, proc, /*dedup=*/false);
-  struct Landing {
-    std::uint32_t phase;
-    std::uint32_t pos;
-  };
-  std::vector<Landing> landed;
-  landed.reserve(changes.size());
-  for (const ChangedIteration& ch : changes) {
-    std::uint32_t assigned = sched.phases_per_sweep();
-    for (std::uint32_t v : ch.refs)
-      assigned = std::min(assigned,
-                          sched.owning_phase(proc, sched.portion_of(v)));
-    PhaseSchedule& phase = result.phases[assigned];
-    landed.push_back(
-        {assigned, static_cast<std::uint32_t>(phase.iter_global.size())});
-    phase.iter_global.push_back(ch.global);
-    phase.iter_local.push_back(ch.local);
+  std::vector<std::uint32_t> tail_refs(changes.size() * num_refs);
+  std::vector<std::vector<std::uint32_t>> tails(result.phases.size());
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    const ChangedIteration& ch = changes[i];
+    const std::uint32_t assigned = earliest_phase(
+        sched, proc, num_refs, [&](std::size_t r) { return ch.refs[r]; });
+    tails[assigned].push_back(static_cast<std::uint32_t>(i));
     for (std::size_t r = 0; r < num_refs; ++r) {
       const std::uint32_t elem = ch.refs[r];
       const std::uint32_t ph =
           sched.owning_phase(proc, sched.portion_of(elem));
-      phase.indir[r].push_back(ph == assigned ? elem : slots.defer(elem));
+      tail_refs[i * num_refs + r] =
+          ph == assigned ? elem : slots.defer(elem);
     }
     result.assigned_phase[ch.local] = assigned;
   }
@@ -317,16 +335,15 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
                    std::lower_bound(freed_sorted.begin(), freed_sorted.end(),
                                     A[i]) -
                    freed_sorted.begin());
-    const PhaseSchedule& phase = result.phases[landed[i].phase];
     for (std::size_t r = 0; r < num_refs; ++r) {
-      const std::uint32_t v = phase.indir[r][landed[i].pos];
+      const std::uint32_t v = tail_refs[i * num_refs + r];
       if (v >= n_elems)
         newrefs.push_back({key, v - n_elems, result.slot_elem[v - n_elems]});
     }
   }
 
   const std::uint32_t s_old = previous.num_buffer_slots;
-  // Indexed by the ids currently in the rows: surviving old ids plus
+  // Indexed by the ids currently in the blocks: surviving old ids plus
   // whatever the allocator handed out (reused freed ids and fresh ids
   // starting at s_old).
   std::vector<std::uint32_t> slot_map(s_old + newrefs.size());
@@ -357,71 +374,56 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     }
   }
 
-  // --- 5. Restore increasing-local-iteration order in the phases that
-  // grew a tail (the fresh run's emission order). The body kept its order
-  // through removal and the tail was appended in ascending order, so this
-  // is a two-pointer merge, not a sort.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> tails;  // phase, count
-  for (const Landing& l : landed) {
-    auto it = std::find_if(tails.begin(), tails.end(),
-                           [&](const auto& t) { return t.first == l.phase; });
-    if (it == tails.end())
-      tails.emplace_back(l.phase, 1);
-    else
-      ++it->second;
-  }
-  for (const auto& [ph, t] : tails) {
+  // --- 5. Place the changed iterations in increasing-local-iteration
+  // order (the fresh run's emission order). The body kept its order
+  // through removal and each tail is ascending, so this is a two-pointer
+  // merge that writes the phase's arrays once.
+  for (std::uint32_t ph = 0; ph < tails.size(); ++ph) {
+    const std::vector<std::uint32_t>& tail = tails[ph];
+    if (tail.empty()) continue;
     PhaseSchedule& phase = result.phases[ph];
-    const std::size_t n = phase.iter_local.size();
-    const std::uint32_t* il = phase.iter_local.data();
-    const std::size_t body = n - t;
-    if (body == 0 || il[body - 1] < il[body]) continue;  // already ordered
-    std::vector<std::uint32_t> idx(n);
-    std::size_t b = 0, ti = body, w = 0;
-    while (b < body && ti < n)
-      idx[w++] = static_cast<std::uint32_t>(il[b] < il[ti] ? b++ : ti++);
-    while (b < body) idx[w++] = static_cast<std::uint32_t>(b++);
-    while (ti < n) idx[w++] = static_cast<std::uint32_t>(ti++);
-    const auto apply = [&](U32Buf& buf) {
-      const std::uint32_t* src = buf.data();
-      std::vector<std::uint32_t> out(n);
-      for (std::size_t j = 0; j < n; ++j) out[j] = src[idx[j]];
-      buf.clear();
-      buf.append(out);
-    };
-    apply(phase.iter_global);
-    apply(phase.iter_local);
-    for (U32Buf& row : phase.indir) apply(row);
+    const std::size_t nb = phase.iter_local.size();
+    const std::size_t n = nb + tail.size();
+    const std::uint32_t* bg = phase.iter_global.data();
+    const std::uint32_t* bl = phase.iter_local.data();
+    const std::uint32_t* bblk = phase.indir_flat.data();
+    std::vector<std::uint32_t> ig(n), il(n), blk(num_refs * n);
+    std::size_t b = 0, t = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (t == tail.size() || (b < nb && bl[b] < changes[tail[t]].local)) {
+        ig[j] = bg[b];
+        il[j] = bl[b];
+        for (std::size_t r = 0; r < num_refs; ++r)
+          blk[r * n + j] = bblk[r * nb + b];
+        ++b;
+      } else {
+        const std::size_t c = tail[t++];
+        ig[j] = changes[c].global;
+        il[j] = changes[c].local;
+        for (std::size_t r = 0; r < num_refs; ++r)
+          blk[r * n + j] = tail_refs[c * num_refs + r];
+      }
+    }
+    phase.iter_global = U32Buf(std::move(ig));
+    phase.iter_local = U32Buf(std::move(il));
+    phase.indir_flat = U32Buf(std::move(blk));
   }
 
-  // --- 6. Rewrite redirects through the renumbering map. Rows whose
+  // --- 6. Rewrite redirects through the renumbering map. Blocks whose
   // redirects all keep their ids are left untouched — for a plan patched
   // off a store-loaded base they stay zero-copy views into the mapping.
-  std::vector<std::uint32_t> dirty;  // phases needing re-flatten
-  const auto mark_dirty = [&](std::uint32_t ph) {
-    if (std::find(dirty.begin(), dirty.end(), ph) == dirty.end())
-      dirty.push_back(ph);
-  };
-  for (std::uint32_t ph : affected) mark_dirty(ph);
-  for (const auto& [ph, t] : tails) mark_dirty(ph);
-  for (std::uint32_t ph = 0;
-       ph < static_cast<std::uint32_t>(result.phases.size()); ++ph) {
-    PhaseSchedule& phase = result.phases[ph];
-    for (U32Buf& rowbuf : phase.indir) {
-      const std::uint32_t* row = rowbuf.data();
-      const std::size_t n = rowbuf.size();
-      std::size_t j = 0;
-      while (j < n &&
-             !(row[j] >= n_elems && slot_map[row[j] - n_elems] + n_elems !=
-                                        row[j]))
-        ++j;
-      if (j == n) continue;
-      std::span<std::uint32_t> wrow = rowbuf.mutate();
-      for (; j < n; ++j)
-        if (wrow[j] >= n_elems)
-          wrow[j] = n_elems + slot_map[wrow[j] - n_elems];
-      mark_dirty(ph);
-    }
+  for (PhaseSchedule& phase : result.phases) {
+    const std::uint32_t* blk = phase.indir_flat.data();
+    const std::size_t len = phase.indir_flat.size();
+    std::size_t j = 0;
+    while (j < len &&
+           !(blk[j] >= n_elems &&
+             slot_map[blk[j] - n_elems] + n_elems != blk[j]))
+      ++j;
+    if (j == len) continue;
+    std::span<std::uint32_t> wblk = phase.indir_flat.mutate();
+    for (; j < len; ++j)
+      if (wblk[j] >= n_elems) wblk[j] = n_elems + slot_map[wblk[j] - n_elems];
   }
 
   // --- 7. Regenerate the second loop in canonical slot order (the fresh
@@ -458,7 +460,6 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   result.slot_elem.clear();
   result.slot_elem.append(new_slot_elem);
   result.free_slots.clear();
-  for (std::uint32_t ph : dirty) result.phases[ph].flatten_indir();
   result.local_array_size =
       static_cast<std::uint64_t>(n_elems) + result.num_buffer_slots;
   return result;

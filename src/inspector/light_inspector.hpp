@@ -66,25 +66,25 @@ struct PhaseSchedule {
   /// Local iteration indices (into IterationRefs rows) parallel to
   /// iter_global; consumed by the incremental update.
   U32Buf iter_local;
-  /// indir[r][j]: redirected index for reference slot r of the j-th
-  /// iteration of this phase. Values < num_elements address the reduction
-  /// array directly (always within the portion owned this phase for the
-  /// reference that determined the assignment); values >= num_elements
-  /// address buffer slots.
-  std::vector<U32Buf> indir;
-  /// Flattened structure-of-arrays copy of `indir`: one contiguous block,
-  /// ref-major (`indir_flat[r * n + j] == indir[r][j]` where n is the
-  /// phase's iteration count). Built by the inspector once the phase
-  /// contents are final; batch executors (core::PhaseView) stream this
-  /// block instead of chasing `num_refs` separate heap vectors.
+  /// Redirected indirection, one ref-major block: entry r * n + j (n the
+  /// phase's iteration count, row(r) below) is the redirected index for
+  /// reference slot r of the j-th iteration of this phase. Values <
+  /// num_elements address the reduction array directly (always within
+  /// the portion owned this phase for the reference that determined the
+  /// assignment); values >= num_elements address buffer slots. Batch
+  /// executors (core::PhaseView) stream the block as is. An empty phase
+  /// has an empty block, which does not record the reference count.
   U32Buf indir_flat;
   /// Second loop: element copy_dst[j] (owned this phase) accumulates
   /// buffer slot copy_src[j] (>= num_elements).
   U32Buf copy_dst;
   U32Buf copy_src;
 
-  /// Rebuilds `indir_flat` from the `indir` rows.
-  void flatten_indir();
+  /// Reference slot r's redirected indices, parallel to iter_global.
+  std::span<const std::uint32_t> row(std::size_t r) const {
+    const std::size_t n = iter_global.size();
+    return {indir_flat.data() + r * n, n};
+  }
 };
 
 /// Full LightInspector output for one processor.
@@ -136,7 +136,7 @@ struct ChangedIteration {
 /// to the fresh run's canonical form (verified by property tests in
 /// tests/test_plan_patch.cpp); the point is cost — the work is
 /// proportional to the touched iterations plus light linear sweeps (a
-/// redirect count and a redirect rewrite over the resident rows) instead
+/// redirect count and a redirect rewrite over the resident blocks) instead
 /// of a full rebuild with its reference gather and per-reference phase
 /// arithmetic.
 ///

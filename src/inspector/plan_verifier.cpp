@@ -1,7 +1,6 @@
 #include "inspector/plan_verifier.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "inspector/plan_walk.hpp"
 
@@ -306,7 +305,7 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
   for_each_phase(insp, [&](std::uint32_t ph, const PhaseSchedule& phase) {
     const std::size_t n = phase.iter_global.size();
 
-    // --- shape of the phase rows -------------------------------------
+    // --- shape of the phase arrays -----------------------------------
     bool shape_ok = true;
     if (phase.iter_local.size() != n) {
       rep.fail("E-PLAN-SHAPE",
@@ -315,21 +314,13 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
                    " entries, iter_global has " + std::to_string(n));
       shape_ok = false;
     }
-    if (phase.indir.size() != num_refs) {
-      rep.fail("E-PLAN-SHAPE", at(proc, ph) + ": " +
-                                   std::to_string(phase.indir.size()) +
-                                   " indirection rows, kernel has " +
-                                   std::to_string(num_refs));
+    if (phase.indir_flat.size() != num_refs * n) {
+      rep.fail("E-PLAN-SHAPE",
+               at(proc, ph) + ": indirection block has " +
+                   std::to_string(phase.indir_flat.size()) + " entries for " +
+                   std::to_string(num_refs) + " references x " +
+                   std::to_string(n) + " iterations");
       shape_ok = false;
-    }
-    for (std::size_t r = 0; shape_ok && r < phase.indir.size(); ++r) {
-      if (phase.indir[r].size() != n) {
-        rep.fail("E-PLAN-SHAPE",
-                 at(proc, ph) + " ref " + std::to_string(r) + ": row has " +
-                     std::to_string(phase.indir[r].size()) +
-                     " entries for " + std::to_string(n) + " iterations");
-        shape_ok = false;
-      }
     }
     if (phase.copy_src.size() != phase.copy_dst.size()) {
       rep.fail("E-PLAN-SHAPE",
@@ -337,13 +328,6 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
                    std::to_string(phase.copy_src.size()) +
                    " entries, copy_dst has " +
                    std::to_string(phase.copy_dst.size()));
-      shape_ok = false;
-    }
-    if (phase.indir_flat.size() != num_refs * n) {
-      rep.fail("E-PLAN-FLAT", at(proc, ph) + ": indir_flat has " +
-                                  std::to_string(phase.indir_flat.size()) +
-                                  " entries, rows hold " +
-                                  std::to_string(num_refs * n));
       shape_ok = false;
     }
     if (!shape_ok) return;  // per-entry checks would index out of range
@@ -378,7 +362,7 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
       }
     }
 
-    // --- per-reference ownership + flattening ------------------------
+    // --- per-reference ownership -------------------------------------
     // Direct: the element's portion must be owned by this proc in this
     // phase — this is the whole rotation contract, including the
     // k-phase in-flight window for k > 1. Since exactly one portion is
@@ -390,15 +374,8 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
     const std::uint32_t slot_cap = insp.num_buffer_slots;
     report.checked_refs += static_cast<std::uint64_t>(num_refs) * n;
     for (std::size_t r = 0; r < num_refs; ++r) {
-      const std::uint32_t* row = phase.indir[r].data();
-      const std::uint32_t* flat = phase.indir_flat.data() + r * n;
+      const std::uint32_t* row = phase.row(r).data();
       if (!exhaustive) {
-        // Flattening first: zero-copy loaded plans rebuild the rows as
-        // subspans of indir_flat, so pointer equality proves agreement
-        // without reading a byte; distinct storage gets one memcmp
-        // instead of a compare fused into the sweep below.
-        suspect |= row != flat && n > 0 &&
-                   std::memcmp(flat, row, n * sizeof(std::uint32_t)) != 0;
         // One branchless sweep per row, touching each entry once.
         const RowSweep sw =
             budget_row_sweep(row, n, owned_lo, owned_size, n_elems);
@@ -420,19 +397,7 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
         }
         continue;
       }
-      // Exhaustive: localize flattening mismatches (aliased rows agree
-      // by construction; memcmp fast path otherwise), then prove
-      // ownership per entry.
-      if (row != flat && n > 0 &&
-          std::memcmp(flat, row, n * sizeof(std::uint32_t)) != 0) {
-        for (std::size_t j = 0; j < n; ++j)
-          if (flat[j] != row[j])
-            rep.fail("E-PLAN-FLAT",
-                     at(proc, ph) + " ref " + std::to_string(r) + " iter " +
-                         std::to_string(j) + ": indir_flat " +
-                         std::to_string(flat[j]) + " != indir " +
-                         std::to_string(row[j]));
-      }
+      // Exhaustive: prove ownership per entry.
       for (std::size_t j = 0; j < n; ++j) {
         const std::uint32_t v = row[j];
         if (v < n_elems) {

@@ -19,15 +19,15 @@
 //      is owned only in a strictly later phase;
 //   4. every live buffer slot is folded back exactly once, in the owning
 //      phase of its element, onto that element;
-//   5. the flattened executor layout (indir_flat), the phase-assignment
-//      bookkeeping, and all slot metadata agree with the phase rows.
+//   5. the phase-assignment bookkeeping and all slot metadata agree with
+//      the phases' redirected indirection.
 //
 // Diagnostics reuse earthred::Diagnostic with plan coordinates in the
 // message (there is no source line; line/column stay 0). Codes:
-//   E-PLAN-SHAPE         container shapes disagree (ragged rows, wrong
+//   E-PLAN-SHAPE         container shapes disagree (an indirection block
+//                        that is not num_refs x iterations long, wrong
 //                        phase count, slot tables of the wrong length)
-//   E-PLAN-FLAT          indir_flat disagrees with the indir rows
-//   E-PLAN-PHASE-ASSIGN  assigned_phase bookkeeping contradicts the rows
+//   E-PLAN-PHASE-ASSIGN  assigned_phase bookkeeping contradicts the phases
 //   E-PLAN-DUP-ITER      an iteration scheduled more than once
 //   E-PLAN-LOST-ITER     an iteration scheduled nowhere
 //   E-PLAN-PHASE-OWNER   direct reference to a portion not owned in-phase
@@ -61,7 +61,11 @@ namespace earthred::inspector {
 /// whenever an invariant is added, removed, or reinterpreted — old files
 /// then fail the header check (E-STORE-VERIFIER) and fall back to a
 /// rebuild instead of being trusted under rules they were never proven
-/// against.
+/// against. Revision 1 still stands: it covered a check (E-PLAN-FLAT,
+/// per-reference rows against their flattened copy) that has since gone
+/// with the rows, but that check could never fire on a loaded plan,
+/// whose rows were slices of the stored block, so no file is admitted or
+/// rejected differently.
 inline constexpr std::uint64_t kPlanVerifierFingerprint =
     0x45504c414e560001ull;  // "EPLANV" + revision 1
 
@@ -73,8 +77,8 @@ struct PlanVerifyOptions {
   /// true (the default, and what admission / `earthred check` / the test
   /// corpus use): every invariant is proven per entry. false is the
   /// build-path budget mode that PlanOptions::verify runs under: the same
-  /// shape, flattening, ownership, slot-range, free-list and fold
-  /// invariants, but the hot sections run as branchless, vectorizable
+  /// shape, ownership, slot-range, free-list and fold invariants, but the
+  /// hot sections run as branchless, vectorizable
   /// detection sweeps — iteration coverage and fold pairing are
   /// established through power sums compared against closed forms, and
   /// any mismatch (or any directly reported violation) reruns the whole

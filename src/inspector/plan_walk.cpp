@@ -4,17 +4,10 @@ namespace earthred::inspector {
 
 namespace {
 
-/// Heap bytes held by one vector (capacity, not size — the allocation is
-/// what the cache budget pays for). Container headers are accounted by the
-/// enclosing struct's sizeof, never here.
-template <typename T>
-std::uint64_t vec_bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-
-/// U32Buf reports its own footprint: owned capacity, or the viewed extent
-/// for buffers adopted from a plan-store mapping — either way the bytes a
-/// resident plan pins, which is what the cache budget must see.
+/// Heap bytes one buffer pins: owned capacity (the allocation, not the
+/// size), or the viewed extent for buffers adopted from a plan-store
+/// mapping — what the cache budget must see. Container headers are
+/// accounted by the enclosing struct's sizeof, never here.
 std::uint64_t vec_bytes(const U32Buf& v) { return v.footprint_bytes(); }
 
 }  // namespace
@@ -24,13 +17,11 @@ PlanWalkStats walk_inspector(const InspectorResult& insp,
   PlanWalkStats stats;
   for_each_phase(insp, [&](std::uint32_t, const PhaseSchedule& phase) {
     stats.iterations += phase.iter_global.size();
-    for (const U32Buf& row : phase.indir) {
-      for (const std::uint32_t v : row) {
-        if (v < num_elements)
-          ++stats.direct_refs;
-        else
-          ++stats.deferred_refs;
-      }
+    for (const std::uint32_t v : phase.indir_flat) {
+      if (v < num_elements)
+        ++stats.direct_refs;
+      else
+        ++stats.deferred_refs;
     }
     stats.fold_entries += phase.copy_dst.size();
   });
@@ -47,8 +38,6 @@ std::uint64_t inspector_byte_size(const InspectorResult& insp) {
     bytes += vec_bytes(ph.iter_global) + vec_bytes(ph.iter_local) +
              vec_bytes(ph.indir_flat) + vec_bytes(ph.copy_dst) +
              vec_bytes(ph.copy_src);
-    bytes += ph.indir.capacity() * sizeof(U32Buf);
-    for (const auto& row : ph.indir) bytes += vec_bytes(row);
   });
   return bytes;
 }

@@ -282,8 +282,9 @@ TEST(BatchEquivalence, LayoutPassIsBitIdenticalToLayoutNone) {
 
 TEST(BatchEquivalence, InspectorFlattensIndirConsistently) {
   // indir_flat is the batch executor's input: after both the full run and
-  // an incremental update it must be the exact ref-major flattening of
-  // the indir rows.
+  // an incremental update it must be ref-major, row(r)[j] resolving
+  // (directly or through its buffer slot) to reference r of the phase's
+  // j-th iteration.
   using namespace inspector;
   const RotationSchedule sched(64, 4, 2);
   Xoshiro256 rng(11);
@@ -294,13 +295,17 @@ TEST(BatchEquivalence, InspectorFlattensIndirConsistently) {
     iters.refs[0].push_back(static_cast<std::uint32_t>(rng.below(64)));
     iters.refs[1].push_back(static_cast<std::uint32_t>(rng.below(64)));
   }
-  const auto check_flat = [](const InspectorResult& r) {
+  const auto check_flat = [&](const InspectorResult& r) {
     for (const PhaseSchedule& ph : r.phases) {
       const std::size_t n = ph.iter_global.size();
-      ASSERT_EQ(ph.indir_flat.size(), ph.indir.size() * n);
-      for (std::size_t rr = 0; rr < ph.indir.size(); ++rr)
-        for (std::size_t j = 0; j < n; ++j)
-          ASSERT_EQ(ph.indir_flat[rr * n + j], ph.indir[rr][j]);
+      ASSERT_EQ(ph.indir_flat.size(), iters.num_refs() * n);
+      for (std::size_t rr = 0; rr < iters.num_refs(); ++rr)
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::uint32_t v = ph.indir_flat[rr * n + j];
+          ASSERT_EQ(ph.row(rr)[j], v);
+          const std::uint32_t elem = v < 64 ? v : r.slot_elem[v - 64];
+          ASSERT_EQ(elem, iters.refs[rr][ph.iter_local[j]]);
+        }
     }
   };
   const InspectorResult base = run_light_inspector(sched, 1, iters);

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -363,12 +364,35 @@ RefPos find_ref(const core::ExecutionPlan& plan, bool want_direct) {
   for (std::uint32_t p = 0; p < plan.insp.size(); ++p)
     for (std::uint32_t ph = 0; ph < plan.insp[p].phases.size(); ++ph) {
       const auto& phase = plan.insp[p].phases[ph];
-      for (std::size_t r = 0; r < phase.indir.size(); ++r)
-        for (std::size_t j = 0; j < phase.indir[r].size(); ++j)
-          if ((phase.indir[r][j] < n) == want_direct)
+      for (std::size_t r = 0; r < plan.shape.num_refs; ++r)
+        for (std::size_t j = 0; j < phase.row(r).size(); ++j)
+          if ((phase.row(r)[j] < n) == want_direct)
             return {p, ph, r, j, true};
     }
   return {};
+}
+
+/// The block entry of reference r of the phase's j-th iteration.
+std::uint32_t& block_at(inspector::PhaseSchedule& phase, std::size_t r,
+                        std::size_t j) {
+  return phase.indir_flat.mutate()[r * phase.iter_global.size() + j];
+}
+
+/// Rebuilds `phase` from the iterations `keep` lists, in that order (an
+/// index may repeat); the block is rewritten at the new stride.
+void select_iterations(inspector::PhaseSchedule& phase,
+                       std::uint32_t num_refs,
+                       const std::vector<std::size_t>& keep) {
+  std::vector<std::uint32_t> ig, il, blk(num_refs * keep.size());
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    ig.push_back(phase.iter_global[keep[i]]);
+    il.push_back(phase.iter_local[keep[i]]);
+    for (std::uint32_t r = 0; r < num_refs; ++r)
+      blk[r * keep.size() + i] = phase.row(r)[keep[i]];
+  }
+  phase.iter_global = inspector::U32Buf(std::move(ig));
+  phase.iter_local = inspector::U32Buf(std::move(il));
+  phase.indir_flat = inspector::U32Buf(std::move(blk));
 }
 
 TEST(PlanMutation, WrongPhaseOwnerIsCaught) {
@@ -378,12 +402,11 @@ TEST(PlanMutation, WrongPhaseOwnerIsCaught) {
   auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
   // Move the direct reference to an element of a *different* portion —
   // not owned by this processor in this phase.
-  const std::uint32_t elem = phase.indir[pos.r][pos.j];
+  const std::uint32_t elem = phase.row(pos.r)[pos.j];
   const std::uint32_t portion = mp.plan.sched.portion_of(elem);
   const std::uint32_t other =
       mp.plan.sched.portion_begin((portion + 1) % mp.plan.sched.num_portions());
-  phase.indir[pos.r][pos.j] = other;
-  phase.flatten_indir();  // keep indir_flat consistent: isolate the owner check
+  block_at(phase, pos.r, pos.j) = other;
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-PHASE-OWNER")) << report.render();
@@ -395,9 +418,8 @@ TEST(PlanMutation, DanglingRemoteSlotIsCaught) {
   ASSERT_TRUE(pos.found);
   auto& insp = mp.plan.insp[pos.p];
   auto& phase = insp.phases[pos.ph];
-  phase.indir[pos.r][pos.j] =
+  block_at(phase, pos.r, pos.j) =
       mp.plan.sched.num_elements() + insp.num_buffer_slots + 7;
-  phase.flatten_indir();
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-SLOT-RANGE")) << report.render();
@@ -409,7 +431,7 @@ TEST(PlanMutation, FreedSlotStillReferencedIsCaught) {
   ASSERT_TRUE(pos.found);
   auto& insp = mp.plan.insp[pos.p];
   const std::uint32_t slot =
-      insp.phases[pos.ph].indir[pos.r][pos.j] - mp.plan.sched.num_elements();
+      insp.phases[pos.ph].row(pos.r)[pos.j] - mp.plan.sched.num_elements();
   insp.free_slots.push_back(slot);
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
@@ -422,10 +444,9 @@ TEST(PlanMutation, DroppedIterationIsCaught) {
   ASSERT_TRUE(pos.found);
   auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
   ASSERT_FALSE(phase.iter_global.empty());
-  phase.iter_global.pop_back();
-  phase.iter_local.pop_back();
-  for (auto& row : phase.indir) row.pop_back();
-  phase.flatten_indir();
+  std::vector<std::size_t> keep(phase.iter_global.size() - 1);
+  std::iota(keep.begin(), keep.end(), std::size_t{0});
+  select_iterations(phase, mp.plan.shape.num_refs, keep);
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-LOST-ITER")) << report.render();
@@ -436,25 +457,13 @@ TEST(PlanMutation, DuplicatedIterationIsCaught) {
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/true);
   ASSERT_TRUE(pos.found);
   auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
-  phase.iter_global.push_back(phase.iter_global.front());
-  phase.iter_local.push_back(phase.iter_local.front());
-  for (auto& row : phase.indir) row.push_back(row.front());
-  phase.flatten_indir();
+  std::vector<std::size_t> keep(phase.iter_global.size());
+  std::iota(keep.begin(), keep.end(), std::size_t{0});
+  keep.push_back(0);
+  select_iterations(phase, mp.plan.shape.num_refs, keep);
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-DUP-ITER")) << report.render();
-}
-
-TEST(PlanMutation, CorruptFlattenedIndirectionIsCaught) {
-  MutablePlan mp = make_plan();
-  const RefPos pos = find_ref(mp.plan, /*want_direct=*/true);
-  ASSERT_TRUE(pos.found);
-  auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
-  ASSERT_FALSE(phase.indir_flat.empty());
-  phase.indir_flat[0] ^= 1u;  // rows untouched: only the SoA copy is stale
-  const inspector::PlanVerifyReport report = mp.verify();
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_code(report, "E-PLAN-FLAT")) << report.render();
 }
 
 TEST(PlanMutation, DroppedFoldBackIsCaught) {
@@ -525,7 +534,7 @@ TEST(PlanMutation, EarlyOwnedBufferedElementIsCaught) {
   ASSERT_TRUE(pos.found);
   auto& insp = mp.plan.insp[pos.p];
   const std::uint32_t slot =
-      insp.phases[pos.ph].indir[pos.r][pos.j] - mp.plan.sched.num_elements();
+      insp.phases[pos.ph].row(pos.r)[pos.j] - mp.plan.sched.num_elements();
   // Rebind the slot to an element owned in phase <= pos.ph: the portion
   // this proc owns during the deferring phase itself qualifies.
   const std::uint32_t early_portion =
@@ -549,6 +558,16 @@ TEST(PlanMutation, CorruptPhaseAssignmentIsCaught) {
   EXPECT_TRUE(has_code(report, "E-PLAN-PHASE-ASSIGN")) << report.render();
 }
 
+TEST(PlanMutation, ShortIndirectionBlockIsCaught) {
+  MutablePlan mp = make_plan();
+  const RefPos pos = find_ref(mp.plan, /*want_direct=*/true);
+  ASSERT_TRUE(pos.found);
+  mp.plan.insp[pos.p].phases[pos.ph].indir_flat.pop_back();
+  const inspector::PlanVerifyReport report = mp.verify();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, "E-PLAN-SHAPE")) << report.render();
+}
+
 TEST(PlanMutation, WrongPhaseCountIsCaught) {
   MutablePlan mp = make_plan();
   mp.plan.insp[0].phases.pop_back();
@@ -563,13 +582,9 @@ TEST(PlanMutation, ViolationCountingContinuesPastTheRecordingCap) {
   // than the default diagnostic cap.
   auto& insp = mp.plan.insp[0];
   const std::uint32_t n = mp.plan.sched.num_elements();
-  for (auto& phase : insp.phases) {
-    for (auto& row : phase.indir)
-      for (std::size_t j = 0; j < row.size(); ++j)
-        if (row[j] < n)
-          row[j] = (row[j] + mp.plan.sched.portion_size(0)) % n;
-    phase.flatten_indir();
-  }
+  for (auto& phase : insp.phases)
+    for (std::uint32_t& v : phase.indir_flat.mutate())
+      if (v < n) v = (v + mp.plan.sched.portion_size(0)) % n;
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_LE(report.diagnostics.size(), 16u);

@@ -41,8 +41,8 @@ void check_invariants(const RotationSchedule& sched, std::uint32_t proc,
   for (std::uint32_t ph = 0; ph < result.phases.size(); ++ph) {
     const PhaseSchedule& phase = result.phases[ph];
     ASSERT_EQ(phase.iter_global.size(), phase.iter_local.size());
-    for (const auto& row : phase.indir)
-      ASSERT_EQ(row.size(), phase.iter_global.size());
+    ASSERT_EQ(phase.indir_flat.size(),
+              iters.num_refs() * phase.iter_global.size());
     for (std::size_t j = 0; j < phase.iter_global.size(); ++j) {
       ++seen[phase.iter_global[j]];
       const std::uint32_t local = phase.iter_local[j];
@@ -60,7 +60,7 @@ void check_invariants(const RotationSchedule& sched, std::uint32_t proc,
       // redirect to an in-range buffer slot whose element matches.
       for (std::size_t r = 0; r < iters.num_refs(); ++r) {
         const std::uint32_t elem = iters.refs[r][local];
-        const std::uint32_t redirected = phase.indir[r][j];
+        const std::uint32_t redirected = phase.row(r)[j];
         if (redirected < n) {
           EXPECT_EQ(redirected, elem);
           EXPECT_EQ(sched.owned_portion(proc, ph), sched.portion_of(elem));
@@ -102,9 +102,8 @@ void check_invariants(const RotationSchedule& sched, std::uint32_t proc,
   // Every slot referenced from indir has a fold (or is freed).
   std::set<std::uint32_t> referenced;
   for (const PhaseSchedule& phase : result.phases)
-    for (const auto& row : phase.indir)
-      for (std::uint32_t v : row)
-        if (v >= n) referenced.insert(v - n);
+    for (std::uint32_t v : phase.indir_flat)
+      if (v >= n) referenced.insert(v - n);
   for (std::uint32_t slot : referenced) {
     EXPECT_FALSE(freed.count(slot));
     EXPECT_TRUE(folds.count(slot)) << "referenced slot never folded";
@@ -147,8 +146,8 @@ TEST(LightInspector, WorkedExampleEightNodesTwoProcs) {
                               7u);
     ASSERT_NE(it, ph2.iter_global.end());
     const auto j = static_cast<std::size_t>(it - ph2.iter_global.begin());
-    EXPECT_EQ(ph2.indir[1][j], 4u);   // owned endpoint stays direct
-    EXPECT_GE(ph2.indir[0][j], 8u);   // deferred endpoint -> buffer
+    EXPECT_EQ(ph2.row(1)[j], 4u);   // owned endpoint stays direct
+    EXPECT_GE(ph2.row(0)[j], 8u);   // deferred endpoint -> buffer
   }
   // The buffer extends the array: first slot is location 8 (paper: "the
   // remote buffer starts at location 8").
@@ -269,8 +268,8 @@ std::vector<double> execute_schedule(const RotationSchedule& sched,
   for (const PhaseSchedule& phase : res.phases) {
     for (std::size_t j = 0; j < phase.iter_global.size(); ++j) {
       const std::uint32_t local = phase.iter_local[j];
-      for (std::size_t r = 0; r < res.phases[0].indir.size(); ++r)
-        x[phase.indir[r][j]] += edge_val[local] * (r + 1);
+      for (std::size_t r = 0; r < iters.num_refs(); ++r)
+        x[phase.row(r)[j]] += edge_val[local] * (r + 1);
     }
     for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
       x[phase.copy_dst[j]] += x[phase.copy_src[j]];

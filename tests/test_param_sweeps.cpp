@@ -290,8 +290,7 @@ TEST_P(LightInspectorSweep, EveryIterationPlacedOnceEveryDeferralFolded) {
     for (const auto& phase : res.phases) {
       placed += phase.iter_global.size();
       folds += phase.copy_dst.size();
-      for (const auto& row : phase.indir)
-        for (const std::uint32_t v : row) redirects += (v >= n);
+      for (const std::uint32_t v : phase.indir_flat) redirects += (v >= n);
     }
     EXPECT_EQ(placed, niter);
     EXPECT_EQ(redirects, folds);  // one fold per deferred reference

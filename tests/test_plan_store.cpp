@@ -18,6 +18,7 @@
 
 #include "core/native_engine.hpp"
 #include "core/plan_io.hpp"
+#include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
 #include "mesh/generators.hpp"
 #include "service/plan_cache.hpp"
@@ -88,6 +89,61 @@ TEST(PlanStore, RoundTripIsZeroCopyAndBitIdentical) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_TRUE(entries[0].error_code.empty());
   EXPECT_EQ(entries[0].header.content_hash, key.content_hash);
+}
+
+/// Bytes of a plan's struct headers: what byte_size may add to the arrays
+/// it accounts.
+std::uint64_t header_bytes(const core::ExecutionPlan& plan) {
+  std::uint64_t bytes = sizeof(core::ExecutionPlan) +
+                        plan.insp.capacity() *
+                            sizeof(inspector::InspectorResult);
+  for (const inspector::InspectorResult& insp : plan.insp)
+    bytes += insp.phases.capacity() * sizeof(inspector::PhaseSchedule);
+  return bytes;
+}
+
+TEST(PlanStore, LoadedPlanIsChargedOnce) {
+  // byte_size is what the PlanCache charges against its budget. A loaded
+  // plan's arrays are views of its file, so it may exceed the file size
+  // only by the struct headers; a built plan holds each phase's
+  // redirected indirection once, num_refs x iterations entries.
+  const kernels::EulerKernel kernel(
+      mesh::make_geometric_mesh({30000, 120000, 5}));
+  const core::PlanOptions opt = plan_opts();
+  const core::ExecutionPlan plan = core::build_execution_plan(kernel, opt);
+
+  std::uint64_t other_bytes = header_bytes(plan) +
+                              plan.perm.footprint_bytes() +
+                              plan.perm_inv.footprint_bytes();
+  std::uint64_t indir_entries = 0;
+  for (const inspector::InspectorResult& insp : plan.insp) {
+    other_bytes += insp.assigned_phase.footprint_bytes() +
+                   insp.slot_elem.footprint_bytes() +
+                   insp.free_slots.footprint_bytes();
+    for (const inspector::PhaseSchedule& ph : insp.phases) {
+      other_bytes += ph.iter_global.footprint_bytes() +
+                     ph.iter_local.footprint_bytes() +
+                     ph.copy_dst.footprint_bytes() +
+                     ph.copy_src.footprint_bytes();
+      indir_entries += plan.shape.num_refs * ph.iter_global.size();
+    }
+  }
+  const std::uint64_t indir_bytes = plan.byte_size() - other_bytes;
+  const std::uint64_t exact = indir_entries * sizeof(std::uint32_t);
+  EXPECT_GE(indir_bytes, exact);
+  EXPECT_LE(indir_bytes, exact + exact / 4) << "capacity slack over 25%";
+
+  const test::ScratchDir scratch;
+  const PlanStore store(scratch.str());
+  const PlanKey key = make_plan_key(kernel, opt);
+  std::string error;
+  ASSERT_TRUE(store.save(key, plan, &error)) << error;
+  const core::PlanLoadResult r = store.load(key);
+  ASSERT_TRUE(r.ok()) << r.error_code << ": " << r.detail;
+  ASSERT_TRUE(r.zero_copy);
+  const std::uint64_t file_bytes = fs::file_size(store.path_for(key));
+  EXPECT_LE(r.plan->byte_size(), file_bytes + header_bytes(*r.plan))
+      << "file " << file_bytes << " bytes";
 }
 
 TEST(PlanStore, LayoutPlanRoundTripsPermutationArrays) {

@@ -229,8 +229,8 @@ double CompiledKernel::eval(earth::FiberContext* ctx,
                             std::uint64_t edge, std::uint64_t cost_slot,
                             std::vector<double>& stack,
                             std::vector<double>& scalars,
-                            const std::vector<std::vector<double>>*
-                                node_read) const {
+                            std::span<const std::span<double>> node_read)
+    const {
   stack.clear();
   for (const Instr& in : bc.code) {
     switch (in.op) {
@@ -250,8 +250,8 @@ double CompiledKernel::eval(earth::FiberContext* ctx,
       case Op::LoadNode: {
         const std::uint32_t node = indirection_data_[in.b][edge];
         if (ctx) ctx->load(tags->node_read[in.a], node, 8);
-        stack.push_back(
-            node_read ? (*node_read)[in.a][node] : gather_init_[in.a][node]);
+        stack.push_back(node_read.empty() ? gather_init_[in.a][node]
+                                          : node_read[in.a][node]);
         break;
       }
       case Op::Add: {
@@ -305,11 +305,11 @@ void CompiledKernel::compute_edge(earth::FiberContext& ctx,
 
   for (const CompiledScalarAssign& ca : scalar_assigns_) {
     scalars[ca.slot] = eval(&ctx, &tags, ca.rhs, edge_global, edge_slot,
-                            stack, scalars, &arrays.node_read);
+                            stack, scalars, arrays.node_read);
   }
   for (const CompiledStatement& cs : statements_) {
     const double v = eval(&ctx, &tags, cs.rhs, edge_global, edge_slot,
-                          stack, scalars, &arrays.node_read);
+                          stack, scalars, arrays.node_read);
     const std::uint32_t where = redirected[cs.ref_slot];
     ctx.load(tags.reduction[cs.reduction_id], where);
     ctx.charge_flops(1);
@@ -339,10 +339,10 @@ CompiledKernel::interpret_reference() const {
     scalars.assign(scalar_slot_.size(), 0.0);
     for (const CompiledScalarAssign& ca : scalar_assigns_)
       scalars[ca.slot] =
-          eval(nullptr, nullptr, ca.rhs, e, e, stack, scalars, nullptr);
+          eval(nullptr, nullptr, ca.rhs, e, e, stack, scalars, {});
     for (const CompiledStatement& cs : statements_) {
       const double v =
-          eval(nullptr, nullptr, cs.rhs, e, e, stack, scalars, nullptr);
+          eval(nullptr, nullptr, cs.rhs, e, e, stack, scalars, {});
       const std::uint32_t node = indirection_data_[cs.ref_slot][e];
       if (cs.subtract) {
         red[cs.reduction_id][node] -= v;

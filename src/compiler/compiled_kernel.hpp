@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,11 +81,13 @@ class CompiledKernel final : public core::PhasedKernel {
   std::map<std::string, std::vector<double>> interpret_reference() const;
 
  private:
+  /// Evaluates `bc` for one edge. Node loads read `node_read`, or the
+  /// initial gather values when it is empty (the reference interpreter).
   double eval(earth::FiberContext* ctx, const core::CostTags* tags,
               const Bytecode& bc, std::uint64_t edge,
               std::uint64_t cost_slot,
               std::vector<double>& stack, std::vector<double>& scalars,
-              const std::vector<std::vector<double>>* node_read) const;
+              std::span<const std::span<double>> node_read) const;
   Bytecode compile_expr(const Expr& e) const;
 
   std::uint32_t num_nodes_ = 0;

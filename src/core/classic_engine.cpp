@@ -55,21 +55,23 @@ RunResult run_classic_engine(const PhasedKernel& kernel,
       inspector::build_classic_schedule(shape.num_nodes, P, per_proc);
 
   struct ProcState {
-    ProcArrays arrays;
+    OwnedArrays store;
+    ProcArrays arrays;  ///< views of `store`
     /// mailbox[src]: values received from processor src this sweep.
     std::vector<std::vector<double>> mailbox;
     std::uint32_t num_senders = 0;
   };
   std::vector<ProcState> procs(P);
   for (std::uint32_t p = 0; p < P; ++p) {
-    procs[p].arrays.reduction.assign(
+    procs[p].store.reduction.assign(
         shape.num_reduction_arrays,
         std::vector<double>(sched.proc[p].local_array_size() *
                             1, 0.0));
-    procs[p].arrays.node_read.assign(
+    procs[p].store.node_read.assign(
         shape.num_node_read_arrays,
         std::vector<double>(shape.num_nodes, 0.0));
-    kernel.init_node_arrays(procs[p].arrays.node_read);
+    kernel.init_node_arrays(procs[p].store.node_read);
+    procs[p].arrays = procs[p].store.view();
     procs[p].mailbox.resize(P);
   }
   // Mailboxes carry all reduction arrays interleaved per value:
@@ -264,11 +266,11 @@ RunResult run_classic_engine(const PhasedKernel& kernel,
     result.phase_iterations.push_back(owned_iters[p].size());
 
   if (collect) {
-    result.node_read = procs[0].arrays.node_read;
+    result.node_read = procs[0].store.node_read;
     for (std::uint32_t p = 1; p < P; ++p)
       for (std::uint32_t a = 0; a < shape.num_node_read_arrays; ++a)
-        ER_ENSURES_MSG(procs[p].arrays.node_read[a] ==
-                           procs[0].arrays.node_read[a],
+        ER_ENSURES_MSG(procs[p].store.node_read[a] ==
+                           procs[0].store.node_read[a],
                        "node-read replicas diverged (classic)");
   }
   for (std::uint32_t p = 0; p < P; ++p) {

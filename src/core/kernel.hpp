@@ -10,9 +10,13 @@
 //
 // The kernel performs the *real* floating-point computation (so engines
 // can validate against the sequential reference) while charging simulated
-// cycles through the FiberContext. Engines own the storage: per-processor
-// reduction arrays (extended with the LightInspector's remote buffer) and
-// per-processor replicated copies of the node read arrays.
+// cycles through the FiberContext. Engines own the storage and hand the
+// kernel views of it (ProcArrays). The simulators, the sequential
+// reference and the privatized executor keep full per-processor vectors
+// (OwnedArrays). The phased native executor keeps one set of arrays per
+// run: a reduction array extended with every processor's LightInspector
+// buffer slots, written only by the processor holding the ownership
+// token of a portion, and two node-read buffers swapped by sweep parity.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +39,29 @@ struct KernelShape {
   std::uint32_t num_node_read_arrays = 0; ///< node arrays read per edge
 };
 
-/// Per-processor storage manipulated by a kernel.
+/// The arrays a kernel works on, as views of engine-owned storage.
 struct ProcArrays {
   /// reduction[a][i]: element i of reduction array a. Length is
-  /// num_nodes + buffer slots (rotation engine) or owned + ghosts
+  /// num_nodes + buffer slots (rotation engines) or owned + ghosts
   /// (classic engine).
+  std::vector<std::span<double>> reduction;
+  /// node_read[a][v]: node-indexed arrays the edge loop reads.
+  std::vector<std::span<double>> node_read;
+};
+
+/// Per-processor vectors owned by an engine, and the views handed to
+/// kernels.
+struct OwnedArrays {
   std::vector<std::vector<double>> reduction;
-  /// node_read[a][v]: replicated node-indexed read-only arrays.
   std::vector<std::vector<double>> node_read;
+
+  /// Views of the vectors above; rebuild after resizing any of them.
+  ProcArrays view() {
+    ProcArrays v;
+    v.reduction.assign(reduction.begin(), reduction.end());
+    v.node_read.assign(node_read.begin(), node_read.end());
+    return v;
+  }
 };
 
 /// Synthetic-address tags for the cost model (see earth/cost.hpp).
@@ -88,7 +107,7 @@ struct PhaseView {
 ///
 /// Thread-compatibility: kernels are immutable after construction and
 /// shared by all simulated processors; all mutable state lives in the
-/// engine-owned ProcArrays.
+/// engine-owned arrays that ProcArrays views.
 class PhasedKernel {
  public:
   virtual ~PhasedKernel() = default;

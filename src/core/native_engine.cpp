@@ -1,6 +1,7 @@
 #include "core/native_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -37,12 +38,10 @@ using inspector::RotationSchedule;
 
 namespace {
 
-/// One-slot bounded buffer: sender waits `free`, writes, posts `full`;
-/// receiver waits `full`, reads, posts `free`.
-struct StagedSlot {
-  std::vector<double> data;
-  std::binary_semaphore full{0};
-  std::binary_semaphore free{1};
+/// A token the phased executor hands from one worker to another: the
+/// giver posts it, the taker acquires it.
+struct Token {
+  std::binary_semaphore posted{0};
 };
 
 /// Best-effort pin of the calling thread to one CPU (no-op where pthread
@@ -295,6 +294,9 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
   // the references are gathered *through the permutation* — the plan is
   // exactly what a fresh build against the renumbered kernel clone would
   // produce — and each finished phase is reordered target-stable (step 2).
+  // Processor p's buffer slots follow those of processors 0..p-1, so the
+  // phased executor lays them all into one reduction array.
+  std::uint32_t first_slot = 0;
   for (std::uint32_t p = 0; p < P; ++p) {
     inspector::IterationRefs refs;
     refs.global_iter = std::move(owned_iters[p]);
@@ -309,8 +311,9 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
           refs.refs[r].push_back(perm[kernel.ref(r, e)]);
       }
     }
-    plan.insp[p] =
-        inspector::run_light_inspector(plan.sched, p, refs, opt.inspector);
+    plan.insp[p] = inspector::run_light_inspector(plan.sched, p, refs,
+                                                  opt.inspector, first_slot);
+    first_slot += plan.insp[p].num_buffer_slots;
     if (plan.applied_layout != LayoutKind::None) {
       std::vector<std::uint32_t> last_iter(shape.num_nodes, kNoIter);
       std::vector<std::uint32_t> last_ref(last_iter.size(), 0);
@@ -411,15 +414,16 @@ ExecutionPlan patch_execution_plan(
     std::sort(changes.begin(), changes.end(),
               [](const auto& a, const auto& b) { return a.local < b.local; });
 
+  // Slot ranges stay back to back: when a patched processor's slot count
+  // changes, every later processor's range moves with it. A processor
+  // with no changed iteration keeps its base result (shared, for a loaded
+  // base), or a shifted copy once its range moves.
+  std::uint32_t first_slot = 0;
   for (std::uint32_t p = 0; p < P; ++p) {
-    // No owned iteration changed: the base result is still exact. U32Buf
-    // copies share adopted views, so this is cheap for loaded bases and
-    // one linear copy for built ones.
-    plan.insp[p] = per_proc[p].empty()
-                       ? previous.insp[p]
-                       : inspector::update_light_inspector(
-                             plan.sched, p, previous.insp[p], per_proc[p],
-                             opt.inspector);
+    plan.insp[p] = inspector::update_light_inspector(
+        plan.sched, p, previous.insp[p], per_proc[p], first_slot,
+        opt.inspector);
+    first_slot += plan.insp[p].num_buffer_slots;
   }
 
   plan.build_seconds =
@@ -474,9 +478,11 @@ inspector::PlanVerifyReport verify_execution_plan(
           const std::uint32_t v = row[j];
           std::uint32_t actual = v;
           if (v >= n_elems) {
-            const std::uint64_t slot =
-                static_cast<std::uint64_t>(v) - n_elems;
-            if (slot >= insp.slot_elem.size()) continue;  // E-PLAN-SLOT-RANGE
+            // slot_elem counts from this processor's first slot.
+            const std::uint32_t slot = v - n_elems - insp.first_slot;
+            if (v - n_elems < insp.first_slot ||
+                slot >= insp.slot_elem.size())
+              continue;  // E-PLAN-SLOT-RANGE
             actual = insp.slot_elem[slot];
           }
           if (actual != expected)
@@ -509,13 +515,13 @@ CostTags make_cost_tags(std::uint32_t RA, std::uint32_t NA) {
 }
 
 /// The P worker threads of one native run, shared by both executors.
-/// Worker p pins itself if asked, builds its own per-run state (init),
-/// waits at the team barrier for every other init, runs the executor's
-/// per-sweep loop (body) and leaves, so the calling thread does no size-N
-/// setup. run() returns the seconds from the post-init barrier's release
-/// to the join: the sweeps only.
+/// Worker p pins itself if asked, builds its share of the per-run state
+/// (init), waits at the team barrier for every other init, runs the
+/// executor's per-sweep loop (body) and leaves, so the calling thread does
+/// no size-N setup. run() returns the seconds from the post-init barrier's
+/// release to the join: the sweeps only.
 ///
-/// Cooperative stop: one flag is polled by every staging wait and checked
+/// Cooperative stop: one flag is polled by every token wait and checked
 /// after every team barrier. A wait that outlives stall_timeout, or a
 /// worker that throws (in init or body), raises it, so the other workers
 /// unwind instead of blocking forever. A worker leaving — finished,
@@ -530,7 +536,7 @@ class WorkerTeam {
         barrier_(static_cast<std::ptrdiff_t>(num_workers),
                  StampFirstRelease{&start_}) {}
 
-  /// Acquires a staging semaphore. Returns false when the team is
+  /// Acquires a token semaphore. Returns false when the team is
   /// stopping — the caller must return from its loop. `describe` builds
   /// the stall diagnostic and is only called when this wait is the one
   /// that times out, so a satisfied wait costs no allocation.
@@ -654,27 +660,12 @@ std::vector<std::vector<double>> zeroed_arrays(std::uint32_t count,
   return arrays;
 }
 
-/// Builds worker p's share of a run's shared arrays: of the RA reduction
-/// then NA node-read arrays, worker i mod P builds array i, as zeros or as
-/// a copy of its own initialized node-read replica `own` (identical on
-/// every worker). The outer vectors of `shared` must already be sized.
-void build_shared_share(ProcArrays& shared, const ProcArrays& own,
-                        std::uint32_t p, std::uint32_t P, std::uint32_t n) {
-  const auto RA = static_cast<std::uint32_t>(shared.reduction.size());
-  const auto total =
-      RA + static_cast<std::uint32_t>(shared.node_read.size());
-  for (std::uint32_t i = p; i < total; i += P) {
-    if (i < RA)
-      shared.reduction[i].assign(n, 0.0);
-    else
-      shared.node_read[i - RA] = own.node_read[i - RA];
-  }
-}
-
-/// The paper's executor: portions of the reduction arrays rotate through
-/// the processors over k*P phases with bounded-buffer staging (see the
-/// header comment). Deterministic; bit-identical between the batched and
-/// per-edge paths.
+/// The paper's executor, with ownership handed over instead of data (see
+/// the header comment): portions of one shared reduction array rotate
+/// through the processors over k*P phases as tokens, and the node reads
+/// of sweep s come from node-read buffer s % 2 while the portions
+/// finalized in sweep s are written to the other buffer. Deterministic;
+/// bit-identical between the batched and per-edge paths.
 NativeResult run_phased(const PhasedKernel& kernel,
                         const ExecutionPlan& plan, const SweepOptions& opt,
                         BackendKind backend) {
@@ -685,41 +676,42 @@ NativeResult run_phased(const PhasedKernel& kernel,
   const std::uint32_t kp = P * k;
   const std::uint32_t RA = shape.num_reduction_arrays;
   const std::uint32_t NA = shape.num_node_read_arrays;
+  const std::uint32_t N = shape.num_nodes;
 
   // ---- per-run mutable state (the plan itself stays untouched) ----------
-  // Every entry is built by init_proc_state on the worker that owns it;
-  // nobody touches another worker's entries before the post-init barrier.
-  std::vector<ProcArrays> arrays(P);
-  // rotation[q][ph]: the portion arriving for q's phase ph.
-  std::vector<std::vector<StagedSlot>> rotation(P);
-  // bcast[q][pid]: the refreshed node-read portion pid for receiver q
-  // (unused, and left empty, for the portions q finalizes itself).
-  std::vector<std::vector<StagedSlot>> bcast(P);
-  // The result arrays, shared: each portion's final values land here.
-  ProcArrays out;
-  out.reduction.resize(RA);
-  out.node_read.resize(NA);
-
-  /// Builds processor p's arrays, its *receiving* staging buffers and its
-  /// share of the result arrays.
-  const auto init_proc_state = [&](std::uint32_t p) {
-    arrays[p].reduction = zeroed_arrays(RA, plan.insp[p].local_array_size);
-    arrays[p].node_read = zeroed_arrays(NA, shape.num_nodes);
-    kernel.init_node_arrays(arrays[p].node_read);
-    rotation[p] = std::vector<StagedSlot>(kp);
-    for (std::uint32_t ph = 0; ph < kp; ++ph) {
-      const std::uint32_t pid = sched.owned_portion(p, ph);
-      rotation[p][ph].data.assign(
-          static_cast<std::size_t>(sched.portion_size(pid)) * RA, 0.0);
+  // red[a]: the elements, then every worker's buffer slots back to back
+  // (the plan numbers them so); nr[b][a]: node-read buffer b. The workers
+  // build them: worker 0 node-read buffer 0 with its initial values (the
+  // longest task), the others the reduction arrays and the arrays of
+  // node-read buffer 1 in turn. Nothing reads them before the post-init
+  // barrier.
+  std::vector<std::vector<double>> red(RA);
+  std::array<std::vector<std::vector<double>>, 2> nr;
+  nr[0].resize(NA);
+  nr[1].resize(NA);
+  const std::size_t red_size = plan.insp.back().local_array_size;
+  const auto init = [&](std::uint32_t p) {
+    if (p == 0) {
+      for (std::vector<double>& a : nr[0]) a.assign(N, 0.0);
+      kernel.init_node_arrays(nr[0]);
     }
-    bcast[p] = std::vector<StagedSlot>(sched.num_portions());
-    for (std::uint32_t pid = 0; pid < sched.num_portions(); ++pid) {
-      if (sched.final_owner(pid) == p) continue;  // local, no staging
-      bcast[p][pid].data.assign(
-          static_cast<std::size_t>(sched.portion_size(pid)) * NA, 0.0);
+    for (std::uint32_t i = 0; i < RA + NA; ++i) {
+      if (p != (P == 1 ? 0 : 1 + i % (P - 1))) continue;  // another's
+      if (i < RA)
+        red[i].assign(red_size, 0.0);
+      else
+        nr[1][i - RA].assign(N, 0.0);
     }
-    build_shared_share(out, arrays[p], p, P, shape.num_nodes);
   };
+  // rotation[q * kp + ph]: posted when the portion q owns in phase ph is
+  // q's to work on. publish[q * kp + pid]: posted when portion pid's node
+  // values for q's next sweep are final (unused for the portions q
+  // finalizes itself). A token never holds more than one post: a portion
+  // passes through q before its sender can forward it to the same phase
+  // again, and it passes through every worker of the ring in a sweep
+  // before its final owner can publish it again.
+  std::vector<Token> rotation(static_cast<std::size_t>(P) * kp);
+  std::vector<Token> publish(static_cast<std::size_t>(P) * kp);
 
   const CostTags tags = make_cost_tags(RA, NA);
   const std::uint32_t sweeps = opt.sweeps;
@@ -728,138 +720,98 @@ NativeResult run_phased(const PhasedKernel& kernel,
   const auto worker = [&](std::uint32_t p) {
     earth::FiberContext ctx = earth::FiberContext::detached(p);
     const InspectorResult& insp = plan.insp[p];
-    ProcArrays& ps = arrays[p];
+    // views[b]: the reduction arrays with node-read buffer b.
+    std::array<ProcArrays, 2> views;
+    for (std::uint32_t b = 0; b < 2; ++b) {
+      views[b].reduction.assign(red.begin(), red.end());
+      views[b].node_read.assign(nr[b].begin(), nr[b].end());
+    }
 
     for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
+      ProcArrays& cur = views[sweep % 2];
+      ProcArrays& next = views[(sweep + 1) % 2];
       for (std::uint32_t ph = 0; ph < kp; ++ph) {
         const std::uint32_t pid = sched.owned_portion(p, ph);
         const std::uint32_t begin = sched.portion_begin(pid);
         const std::uint32_t end = sched.portion_end(pid);
-        const std::uint32_t psize = end - begin;
 
-        // Sweep boundary: apply the staged node-read refreshes.
+        // Sweep boundary: every portion the others finalized last sweep
+        // must be published before this sweep reads its node values.
         if (ph == 0 && sweep > 0 && NA > 0) {
           for (std::uint32_t opid = 0; opid < sched.num_portions(); ++opid) {
-            if (sched.final_owner(opid) == p) continue;  // finalized locally
-            StagedSlot& slot = bcast[p][opid];
-            if (!team.wait(slot.full, [&] {
+            if (sched.final_owner(opid) == p) continue;  // finalized here
+            if (!team.wait(publish[p * kp + opid].posted, [&] {
                   return "proc " + std::to_string(p) +
-                         " stuck waiting for the node-read broadcast "
-                         "of portion " +
+                         " stuck waiting for the node values of portion " +
                          std::to_string(opid) + " at sweep " +
                          std::to_string(sweep);
                 }))
               return;
-            const std::uint32_t ob = sched.portion_begin(opid);
-            const std::uint32_t osz = sched.portion_size(opid);
-            for (std::uint32_t a = 0; a < NA; ++a)
-              std::copy(slot.data.begin() + a * osz,
-                        slot.data.begin() + (a + 1) * osz,
-                        ps.node_read[a].begin() + ob);
-            slot.free.release();
           }
         }
 
         // Portion arrival (the first k phases of sweep 0 start local).
-        if (!(sweep == 0 && ph < k)) {
-          StagedSlot& slot = rotation[p][ph];
-          if (!team.wait(slot.full, [&] {
-                return "proc " + std::to_string(p) +
-                       " stuck waiting for portion " + std::to_string(pid) +
-                       " to arrive for phase " + std::to_string(ph) +
-                       " at sweep " + std::to_string(sweep) +
-                       " (lost forward?)";
-              }))
-            return;
-          for (std::uint32_t a = 0; a < RA; ++a)
-            std::copy(slot.data.begin() + a * psize,
-                      slot.data.begin() + (a + 1) * psize,
-                      ps.reduction[a].begin() + begin);
-          slot.free.release();
-        }
+        if (!(sweep == 0 && ph < k) &&
+            !team.wait(rotation[p * kp + ph].posted, [&] {
+              return "proc " + std::to_string(p) +
+                     " stuck waiting for portion " + std::to_string(pid) +
+                     " to arrive for phase " + std::to_string(ph) +
+                     " at sweep " + std::to_string(sweep) +
+                     " (lost forward?)";
+            }))
+          return;
 
         // Main loop over the flattened indirection block.
         const inspector::PhaseSchedule& phase = insp.phases[ph];
         run_phase(kernel, ctx, tags, phase, phase.indir_flat,
-                  shape.num_refs, opt.batch, backend, plan.tile_iters, ps);
+                  shape.num_refs, opt.batch, backend, plan.tile_iters, cur);
         // Second loop.
         for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
           for (std::uint32_t a = 0; a < RA; ++a) {
-            ps.reduction[a][phase.copy_dst[j]] +=
-                ps.reduction[a][phase.copy_src[j]];
-            ps.reduction[a][phase.copy_src[j]] = 0.0;
+            cur.reduction[a][phase.copy_dst[j]] +=
+                cur.reduction[a][phase.copy_src[j]];
+            cur.reduction[a][phase.copy_src[j]] = 0.0;
           }
         }
 
-        // Portion complete: node update, result capture, zero, bcast.
+        // Portion complete: its node update goes to the other buffer,
+        // then it is zeroed for the next sweep and published. The last
+        // sweep leaves its values in place as the result.
         if (sched.last_owning_phase(pid) == ph) {
-          kernel.update_nodes(ctx, tags, begin, end, begin, ps);
-          if (sweep + 1 == sweeps) {
+          for (std::uint32_t a = 0; a < NA; ++a)
+            std::copy(cur.node_read[a].begin() + begin,
+                      cur.node_read[a].begin() + end,
+                      next.node_read[a].begin() + begin);
+          kernel.update_nodes(ctx, tags, begin, end, begin, next);
+          if (sweep + 1 < sweeps) {
             for (std::uint32_t a = 0; a < RA; ++a)
-              std::copy(ps.reduction[a].begin() + begin,
-                        ps.reduction[a].begin() + end,
-                        out.reduction[a].begin() + begin);
-            for (std::uint32_t a = 0; a < NA; ++a)
-              std::copy(ps.node_read[a].begin() + begin,
-                        ps.node_read[a].begin() + end,
-                        out.node_read[a].begin() + begin);
-          }
-          for (std::uint32_t a = 0; a < RA; ++a)
-            std::fill(ps.reduction[a].begin() + begin,
-                      ps.reduction[a].begin() + end, 0.0);
-          if (NA > 0 && sweep + 1 < sweeps) {
-            for (std::uint32_t q = 0; q < P; ++q) {
-              if (q == p) continue;
-              StagedSlot& slot = bcast[q][pid];
-              if (!team.wait(slot.free, [&] {
-                    return "proc " + std::to_string(p) +
-                           " stuck broadcasting portion " +
-                           std::to_string(pid) + " to proc " +
-                           std::to_string(q) + " at sweep " +
-                           std::to_string(sweep);
-                  }))
-                return;
-              for (std::uint32_t a = 0; a < NA; ++a)
-                std::copy(ps.node_read[a].begin() + begin,
-                          ps.node_read[a].begin() + end,
-                          slot.data.begin() + a * psize);
-              slot.full.release();
-            }
+              std::fill(cur.reduction[a].begin() + begin,
+                        cur.reduction[a].begin() + end, 0.0);
+            if (NA > 0)
+              for (std::uint32_t q = 0; q < P; ++q)
+                if (q != p) publish[q * kp + pid].posted.release();
           }
         }
 
-        // Forward the portion around the ring.
+        // Hand the portion on around the ring.
         std::uint32_t tph = ph + k;
-        std::uint32_t tsweep = sweep + (tph >= kp ? 1 : 0);
+        const std::uint32_t tsweep = sweep + (tph >= kp ? 1 : 0);
         tph %= kp;
         if (tsweep < sweeps) {
           if (opt.lose_forward.enabled && opt.lose_forward.proc == p &&
               opt.lose_forward.phase == ph && opt.lose_forward.sweep == sweep)
             continue;  // fault hook: this forward silently vanishes
-          const std::uint32_t q = sched.next_owner(p);
-          StagedSlot& slot = rotation[q][tph];
-          if (!team.wait(slot.free, [&] {
-                return "proc " + std::to_string(p) +
-                       " stuck forwarding portion " + std::to_string(pid) +
-                       " to proc " + std::to_string(q) + " phase " +
-                       std::to_string(tph) + " at sweep " +
-                       std::to_string(sweep);
-              }))
-            return;
-          for (std::uint32_t a = 0; a < RA; ++a)
-            std::copy(ps.reduction[a].begin() + begin,
-                      ps.reduction[a].begin() + end,
-                      slot.data.begin() + a * psize);
-          slot.full.release();
+          rotation[sched.next_owner(p) * kp + tph].posted.release();
         }
       }
     }
   };
 
   NativeResult result;
-  result.wall_seconds = team.run(init_proc_state, worker);
-  result.reduction = std::move(out.reduction);
-  result.node_read = std::move(out.node_read);
+  result.wall_seconds = team.run(init, worker);
+  for (std::vector<double>& a : red) a.resize(N);  // drop the slots
+  result.reduction = std::move(red);
+  result.node_read = std::move(nr[sweeps % 2]);
   result.backend = opt.batch ? backend : BackendKind::Scalar;
   return result;
 }
@@ -885,23 +837,30 @@ NativeResult run_privatized(const PhasedKernel& kernel,
   const std::uint32_t R = shape.num_refs;
 
   // The shared arrays the fold writes and update_nodes reads/writes.
-  ProcArrays merged;
+  OwnedArrays merged;
   merged.reduction.resize(RA);
   merged.node_read.resize(NA);
 
-  std::vector<ProcArrays> priv(P);
+  std::vector<OwnedArrays> priv(P);
   // direct[p][ph]: the worker's schedule with redirection undone — a
   // flattened ref-major block of true element ids, same layout as the
   // plan's indir_flat, so the kernels' batched phase loops run unchanged
   // against the full-size replica.
   std::vector<std::vector<std::vector<std::uint32_t>>> direct(P);
 
-  /// Builds worker p's replica, its direct ids and its share of `merged`.
+  /// Builds worker p's replica, its direct ids and its share of `merged`:
+  /// of the RA reduction then NA node-read arrays, worker i mod P builds
+  /// array i, as zeros or as a copy of its own initialized replica.
   const auto init_proc_state = [&](std::uint32_t p) {
     priv[p].reduction = zeroed_arrays(RA, N);
     priv[p].node_read = zeroed_arrays(NA, N);
     kernel.init_node_arrays(priv[p].node_read);
-    build_shared_share(merged, priv[p], p, P, N);
+    for (std::uint32_t i = p; i < RA + NA; i += P) {
+      if (i < RA)
+        merged.reduction[i].assign(N, 0.0);
+      else
+        merged.node_read[i - RA] = priv[p].node_read[i - RA];
+    }
     direct[p].resize(kp);
     for (std::uint32_t ph = 0; ph < kp; ++ph) {
       const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
@@ -921,7 +880,8 @@ NativeResult run_privatized(const PhasedKernel& kernel,
 
   const auto worker = [&](std::uint32_t p) {
     earth::FiberContext ctx = earth::FiberContext::detached(p);
-    ProcArrays& ps = priv[p];
+    ProcArrays ps = priv[p].view();
+    ProcArrays shared = merged.view();
     // This worker's node range: it folds, updates and publishes exactly
     // these elements.
     const std::uint32_t lo =
@@ -946,7 +906,7 @@ NativeResult run_privatized(const PhasedKernel& kernel,
           merged.reduction[a][v] = sum;
         }
       }
-      kernel.update_nodes(ctx, tags, lo, hi, lo, merged);
+      kernel.update_nodes(ctx, tags, lo, hi, lo, shared);
 
       // Publish before anyone reads another range or zeroes a replica
       // someone may still be folding from.

@@ -2,8 +2,9 @@
 //
 // The discrete-event simulator (reduction_engine.cpp) is the measurement
 // vehicle; this engine runs the *same* phased schedule as real
-// `std::thread`s — one per simulated processor — with bounded-buffer
-// message staging standing in for the EARTH network. It exists to
+// `std::thread`s — one per simulated processor. The threads share memory,
+// so where the EARTH network copies a portion to the next processor, a
+// worker here hands over ownership of it. The engine exists to
 // demonstrate (and test) that the execution strategy is a correct
 // parallel algorithm under genuine asynchrony, as the reproduction plan
 // prescribes ("emulate fine-grained threads with tasks").
@@ -16,13 +17,21 @@
 // number of concurrent or repeated runs (the compile-once/run-many shape
 // the service layer's PlanCache exploits; see src/service/).
 //
-// Synchronization structure (mirrors the fiber graph):
-//   * portion rotation: a staging buffer per (receiver, phase) guarded by
-//     full/free semaphores — the sender copies the portion in and posts
-//     `full`; the receiver drains it at the start of the owning phase and
-//     posts `free` (so a fast sender can run at most one sweep ahead);
-//   * node-read replication: a staging buffer per (receiver, portion)
-//     with the same protocol, drained at each sweep boundary.
+// Synchronization structure (mirrors the fiber graph). A phased run
+// holds one set of arrays: each reduction array once, extended by every
+// processor's buffer slots (the plan numbers them back to back), and two
+// node-read buffers, of which sweep s reads buffer s % 2. Tokens without
+// data order every access:
+//   * portion rotation: a token per (receiver, phase). The owner of a
+//     portion works on it in place and posts the token of the next
+//     owner's phase; the receiver waits for it at the start of that
+//     phase. A portion passes through the receiver before the sender can
+//     forward it to the same phase again, so a token never holds two
+//     posts;
+//   * node-read publication: a token per (receiver, portion). A portion's
+//     final owner writes its updated node values into the other buffer
+//     and posts the token of every other worker, which waits for all of
+//     them at its next sweep boundary.
 #pragma once
 
 #include <cstdint>
@@ -168,9 +177,9 @@ ExecutionPlan patch_execution_plan(
     const PhasedKernel& kernel, const ExecutionPlan& previous,
     std::span<const std::uint32_t> changed_iterations);
 
-/// Thread placement for the native engine's workers. Each worker always
-/// builds its own per-run state, so its pages are first touched by the
-/// thread that uses them; pinning only fixes which CPU that thread runs on.
+/// Thread placement for the native engine's workers. The workers always
+/// build the per-run arrays themselves, so their pages are first touched
+/// by a worker thread; pinning only fixes which CPU each thread runs on.
 struct AffinityOptions {
   /// Pin worker thread p to CPU (p mod hardware_concurrency) via
   /// pthread_setaffinity_np where available; a best-effort no-op elsewhere.
@@ -180,7 +189,7 @@ struct AffinityOptions {
 /// Per-run execution knobs — do not affect the plan.
 struct SweepOptions {
   std::uint32_t sweeps = 1;
-  /// Wall-clock seconds any single staging-buffer wait may block before
+  /// Wall-clock seconds any single token wait may block before
   /// the whole run is declared stalled and aborted with a check_error
   /// naming the waiting processor and protocol step — a deadlocked
   /// protocol surfaces as a diagnostic instead of a hung process. 0 waits
@@ -219,8 +228,8 @@ struct NativeOptions {
 };
 
 struct NativeResult {
-  /// Wall-clock seconds of the sweeps: from the moment every worker has
-  /// built its per-run state to the join (excludes inspector and setup).
+  /// Wall-clock seconds of the sweeps: from the moment the workers have
+  /// built the per-run state to the join (excludes inspector and setup).
   double wall_seconds = 0.0;
   /// Final reduction arrays ([array][element], global indexing).
   std::vector<std::vector<double>> reduction;
@@ -237,7 +246,7 @@ struct NativeResult {
 /// Executes `sweeps` time steps of `kernel` under a prebuilt plan. The
 /// plan is read-only and may be shared by concurrent callers; `kernel`
 /// must be the kernel (or an identically-shaped twin) the plan was built
-/// from. Raises check_error when a staging-buffer wait exceeds
+/// from. Raises check_error when a token wait exceeds
 /// stall_timeout (lost message / protocol deadlock). An exception thrown
 /// on a worker thread (e.g. by the kernel) stops the other workers and is
 /// rethrown here; the first one wins.

@@ -141,7 +141,7 @@ bool parse_payload(const PlanFileHeader& h,
   for (std::uint32_t p = 0; p < h.num_procs; ++p) {
     inspector::InspectorResult insp;
     insp.num_buffer_slots = r.u32();
-    r.u32();  // pad
+    insp.first_slot = r.u32();
     insp.local_array_size = r.u64();
     const std::uint64_t num_phases = r.u64();
     if (r.fail() || num_phases != phases_per_proc)
@@ -206,7 +206,7 @@ std::vector<std::byte> serialize_plan(const ExecutionPlan& plan,
   payload.u32_array(plan.perm_inv);
   for (const inspector::InspectorResult& insp : plan.insp) {
     payload.u32(insp.num_buffer_slots);
-    payload.u32(0);  // pad
+    payload.u32(insp.first_slot);
     payload.u64(insp.local_array_size);
     payload.u64(insp.phases.size());
     for (const inspector::PhaseSchedule& ph : insp.phases) {
@@ -397,6 +397,7 @@ bool plans_bit_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
     const inspector::InspectorResult& x = a.insp[p];
     const inspector::InspectorResult& y = b.insp[p];
     if (x.num_buffer_slots != y.num_buffer_slots ||
+        x.first_slot != y.first_slot ||
         x.local_array_size != y.local_array_size ||
         x.phases.size() != y.phases.size() ||
         !(x.assigned_phase == y.assigned_phase) ||

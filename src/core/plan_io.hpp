@@ -66,8 +66,12 @@ namespace earthred::core {
 inline constexpr std::uint64_t kPlanMagic = 0x31304e414c505245ull;  // "ERPLAN01"
 /// v2 (layout): header grew 96 -> 112 bytes (layout kinds + tile size at
 /// offset 96) and the payload gained the permutation arrays right after
-/// build_seconds. No cross-version reads — plans are always rebuildable.
-inline constexpr std::uint32_t kPlanFormatVersion = 2;
+/// build_seconds. v3 (one slot numbering per plan): processor p's buffer
+/// slots follow those of processors 0..p-1, so the executor can lay them
+/// into one shared reduction array; each processor record stores its
+/// first slot in what was a pad word. No cross-version reads — plans are
+/// always rebuildable.
+inline constexpr std::uint32_t kPlanFormatVersion = 3;
 inline constexpr std::uint32_t kPlanEndianTag = 0x01020304u;
 inline constexpr std::size_t kPlanHeaderBytes = 112;
 

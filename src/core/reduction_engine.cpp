@@ -21,7 +21,8 @@ namespace {
 
 /// Everything one simulated processor owns.
 struct ProcState {
-  ProcArrays arrays;
+  OwnedArrays store;
+  ProcArrays arrays;  ///< views of `store`
   InspectorResult insp;
   /// Prefix sums of phase sizes: slot_base[ph] + j is the streaming slot
   /// of the j-th iteration of phase ph (cost-model addressing).
@@ -73,13 +74,14 @@ RunResult run_rotation_engine(const PhasedKernel& kernel,
     procs[p].insp =
         inspector::run_light_inspector(sched, p, refs, opt.inspector);
 
-    procs[p].arrays.reduction.assign(
+    procs[p].store.reduction.assign(
         shape.num_reduction_arrays,
         std::vector<double>(procs[p].insp.local_array_size, 0.0));
-    procs[p].arrays.node_read.assign(
+    procs[p].store.node_read.assign(
         shape.num_node_read_arrays,
         std::vector<double>(shape.num_nodes, 0.0));
-    kernel.init_node_arrays(procs[p].arrays.node_read);
+    kernel.init_node_arrays(procs[p].store.node_read);
+    procs[p].arrays = procs[p].store.view();
 
     procs[p].slot_base.assign(kp + 1, 0);
     for (std::uint32_t ph = 0; ph < kp; ++ph)
@@ -394,13 +396,13 @@ RunResult run_rotation_engine(const PhasedKernel& kernel,
   if (collect) {
     result.node_read.assign(shape.num_node_read_arrays,
                             std::vector<double>(shape.num_nodes, 0.0));
-    result.node_read = procs[0].arrays.node_read;
+    result.node_read = procs[0].store.node_read;
     // Replication invariant: every processor holds identical node arrays
     // after the final broadcasts drain.
     for (std::uint32_t p = 1; p < P; ++p)
       for (std::uint32_t a = 0; a < shape.num_node_read_arrays; ++a)
-        ER_ENSURES_MSG(procs[p].arrays.node_read[a] ==
-                           procs[0].arrays.node_read[a],
+        ER_ENSURES_MSG(procs[p].store.node_read[a] ==
+                           procs[0].store.node_read[a],
                        "node-read replicas diverged");
   }
 

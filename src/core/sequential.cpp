@@ -1,6 +1,7 @@
 #include "core/sequential.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "earth/machine.hpp"
@@ -32,12 +33,13 @@ RunResult run_sequential_kernel(const PhasedKernel& kernel,
   ER_EXPECTS(opt.sweeps >= 1);
   const CostTags tags = make_tags(shape);
 
-  ProcArrays arrays;
-  arrays.reduction.assign(shape.num_reduction_arrays,
-                          std::vector<double>(shape.num_nodes, 0.0));
-  arrays.node_read.assign(shape.num_node_read_arrays,
-                          std::vector<double>(shape.num_nodes, 0.0));
-  kernel.init_node_arrays(arrays.node_read);
+  OwnedArrays store;
+  store.reduction.assign(shape.num_reduction_arrays,
+                         std::vector<double>(shape.num_nodes, 0.0));
+  store.node_read.assign(shape.num_node_read_arrays,
+                         std::vector<double>(shape.num_nodes, 0.0));
+  kernel.init_node_arrays(store.node_read);
+  ProcArrays arrays = store.view();
 
   earth::MachineConfig mcfg = opt.machine;
   mcfg.num_nodes = 1;
@@ -79,8 +81,8 @@ RunResult run_sequential_kernel(const PhasedKernel& kernel,
   result.phases_per_proc = 1;
   result.phase_iterations = {shape.num_edges};
   if (opt.collect_results) {
-    result.reduction = arrays.reduction;
-    result.node_read = arrays.node_read;
+    result.reduction = std::move(store.reduction);
+    result.node_read = std::move(store.node_read);
   }
   return result;
 }

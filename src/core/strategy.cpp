@@ -90,7 +90,9 @@ std::vector<StrategyCost> score_strategies(const StrategyInputs& in) {
   // Phased: every portion (N/(k*P) elements x RA arrays) is copied
   // through the staging slot of each of the k*P phases once per sweep —
   // P * N * RA doubles of rotation traffic — plus two semaphore handoffs
-  // per (proc, phase).
+  // per (proc, phase). The native executor now hands portions over
+  // without copying them, so the rotate term overstates phased; it stays
+  // as it is because auto picks, and with them results, follow it.
   {
     const double rotate = kCopyCost * P * N * RA / E;
     const double sync = sync_unit * 2.0 * K * P * P / E;

@@ -34,21 +34,26 @@ void check_refs(const RotationSchedule& sched, const IterationRefs& iters) {
   }
 }
 
-/// Shared slot allocator for the full and incremental paths.
+/// Shared slot allocator for the full and incremental paths. Slot ids
+/// count from result.first_slot.
 class SlotAllocator {
  public:
   SlotAllocator(InspectorResult& result, const RotationSchedule& sched,
                 std::uint32_t proc, bool dedup)
-      : result_(result), sched_(sched), proc_(proc), dedup_(dedup) {}
+      : result_(result),
+        sched_(sched),
+        proc_(proc),
+        dedup_(dedup),
+        slot0_(sched.num_elements() + result.first_slot) {}
 
-  /// Returns the redirected index (num_elements + slot) for a reference to
-  /// `elem` that is owned only in a later phase, adding the second-loop
-  /// copy entry in `elem`'s owning phase when a new slot is created.
+  /// Returns the redirected index (num_elements + first_slot + slot) for
+  /// a reference to `elem` that is owned only in a later phase, adding
+  /// the second-loop copy entry in `elem`'s owning phase when a new slot
+  /// is created.
   std::uint32_t defer(std::uint32_t elem) {
     if (dedup_) {
       const auto it = dedup_map_.find(elem);
-      if (it != dedup_map_.end())
-        return sched_.num_elements() + it->second;
+      if (it != dedup_map_.end()) return slot0_ + it->second;
     }
     std::uint32_t slot;
     if (!result_.free_slots.empty()) {
@@ -63,9 +68,8 @@ class SlotAllocator {
     const std::uint32_t fold_phase =
         sched_.owning_phase(proc_, sched_.portion_of(elem));
     result_.phases[fold_phase].copy_dst.push_back(elem);
-    result_.phases[fold_phase].copy_src.push_back(sched_.num_elements() +
-                                                  slot);
-    return sched_.num_elements() + slot;
+    result_.phases[fold_phase].copy_src.push_back(slot0_ + slot);
+    return slot0_ + slot;
   }
 
  private:
@@ -73,6 +77,7 @@ class SlotAllocator {
   const RotationSchedule& sched_;
   std::uint32_t proc_;
   bool dedup_;
+  std::uint32_t slot0_;
   std::unordered_map<std::uint32_t, std::uint32_t> dedup_map_;
 };
 
@@ -85,6 +90,52 @@ std::uint32_t earliest_phase(const RotationSchedule& sched, std::uint32_t proc,
     assigned = std::min(
         assigned, sched.owning_phase(proc, sched.portion_of(ref_at(r))));
   return assigned;
+}
+
+/// num_elements + first_slot + num_buffer_slots, refusing ids past 32 bits.
+std::uint64_t array_size(const RotationSchedule& sched,
+                         const InspectorResult& result) {
+  const std::uint64_t size = static_cast<std::uint64_t>(sched.num_elements()) +
+                             result.first_slot + result.num_buffer_slots;
+  ER_CHECK_MSG(size <= std::uint64_t{1} << 32,
+               "buffer slot indices overflow 32 bits");
+  return size;
+}
+
+/// `insp` with its buffer slots moved to start at `first_slot`, built in
+/// the one pass that copying it takes anyway: every slot index in the
+/// indirection blocks and fold sources shifts by the same amount, and the
+/// slot-relative tables are copied as they are.
+InspectorResult with_first_slot(const RotationSchedule& sched,
+                                const InspectorResult& insp,
+                                std::uint32_t first_slot) {
+  const std::uint32_t n_elems = sched.num_elements();
+  const std::uint32_t delta = first_slot - insp.first_slot;  // mod 2^32
+  const auto shifted = [&](const U32Buf& in) {
+    std::vector<std::uint32_t> out(in.size());
+    const std::uint32_t* v = in.data();
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] = v[i] + (v[i] >= n_elems ? delta : 0u);
+    return U32Buf(std::move(out));
+  };
+  InspectorResult out;
+  out.phases.resize(insp.phases.size());
+  for (std::size_t ph = 0; ph < insp.phases.size(); ++ph) {
+    const PhaseSchedule& from = insp.phases[ph];
+    PhaseSchedule& to = out.phases[ph];
+    to.iter_global = from.iter_global;
+    to.iter_local = from.iter_local;
+    to.indir_flat = shifted(from.indir_flat);
+    to.copy_dst = from.copy_dst;
+    to.copy_src = shifted(from.copy_src);
+  }
+  out.num_buffer_slots = insp.num_buffer_slots;
+  out.first_slot = first_slot;
+  out.local_array_size = array_size(sched, out);
+  out.assigned_phase = insp.assigned_phase;
+  out.slot_elem = insp.slot_elem;
+  out.free_slots = insp.free_slots;
+  return out;
 }
 
 /// Reference count of a result, read off any non-empty phase (an empty
@@ -101,13 +152,15 @@ std::size_t num_refs_of(const InspectorResult& result) {
 InspectorResult run_light_inspector(const RotationSchedule& sched,
                                     std::uint32_t proc,
                                     const IterationRefs& iters,
-                                    const LightInspectorOptions& opt) {
+                                    const LightInspectorOptions& opt,
+                                    std::uint32_t first_slot) {
   ER_EXPECTS(proc < sched.num_procs());
   check_refs(sched, iters);
   const std::size_t nrefs = iters.num_refs();
   const std::size_t n_iters = iters.num_iterations();
 
   InspectorResult result;
+  result.first_slot = first_slot;
   result.phases.resize(sched.phases_per_sweep());
   result.assigned_phase.resize(n_iters);
 
@@ -151,9 +204,7 @@ InspectorResult run_light_inspector(const RotationSchedule& sched,
     }
   }
 
-  result.local_array_size =
-      static_cast<std::uint64_t>(sched.num_elements()) +
-      result.num_buffer_slots;
+  result.local_array_size = array_size(sched, result);
   return result;
 }
 
@@ -170,11 +221,14 @@ InspectorResult run_light_inspector(const RotationSchedule& sched,
 // over the slot list — no full re-ranking of every reference. The only
 // O(total refs) work left is two branch-light sweeps of the resident
 // blocks: a redirect count (to position the changed iterations among the
-// survivors) and the redirect rewrite itself.
+// survivors) and the redirect rewrite itself, which also moves the slot
+// range to `first_slot`. Until that rewrite every slot id, old or newly
+// allocated, counts from previous.first_slot.
 InspectorResult update_light_inspector(const RotationSchedule& sched,
                                        std::uint32_t proc,
                                        const InspectorResult& previous,
                                        std::span<const ChangedIteration> changes,
+                                       std::uint32_t first_slot,
                                        const LightInspectorOptions& opt) {
   ER_EXPECTS(proc < sched.num_procs());
   ER_EXPECTS_MSG(!opt.dedup_buffers,
@@ -184,6 +238,8 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
                  "base result must be canonical (a fresh run or the output "
                  "of a prior update)");
   const std::uint32_t n_elems = sched.num_elements();
+  const std::uint32_t old_slot0 = n_elems + previous.first_slot;
+  const std::uint32_t new_slot0 = n_elems + first_slot;
   const std::size_t n_iters = previous.assigned_phase.size();
   const std::size_t num_refs = num_refs_of(previous);
   for (std::size_t i = 0; i < changes.size(); ++i) {
@@ -197,12 +253,14 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
       ER_EXPECTS_MSG(v < n_elems, "indirection value out of range");
   }
 
+  // Nothing changed: the result is exact as it is, or once its slots move.
+  // U32Buf copies share adopted views, so this is cheap for loaded bases
+  // and one linear copy for built ones.
+  if (changes.empty())
+    return first_slot == previous.first_slot
+               ? previous
+               : with_first_slot(sched, previous, first_slot);
   InspectorResult result = previous;
-  if (changes.empty()) {
-    result.local_array_size =
-        static_cast<std::uint64_t>(n_elems) + result.num_buffer_slots;
-    return result;
-  }
 
   std::vector<std::uint32_t> cl;  // sorted changed locals
   cl.reserve(changes.size());
@@ -234,7 +292,7 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
       if (std::binary_search(cl.begin(), cl.end(), il[j])) {
         for (std::size_t r = 0; r < num_refs; ++r)
           if (blk[r * n + j] >= n_elems) {
-            const std::uint32_t slot = blk[r * n + j] - n_elems;
+            const std::uint32_t slot = blk[r * n + j] - old_slot0;
             result.free_slots.push_back(slot);
             freed.push_back({slot, il[j]});
           }
@@ -337,8 +395,10 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
                    freed_sorted.begin());
     for (std::size_t r = 0; r < num_refs; ++r) {
       const std::uint32_t v = tail_refs[i * num_refs + r];
-      if (v >= n_elems)
-        newrefs.push_back({key, v - n_elems, result.slot_elem[v - n_elems]});
+      if (v >= n_elems) {
+        const std::uint32_t tmp = v - old_slot0;
+        newrefs.push_back({key, tmp, result.slot_elem[tmp]});
+      }
     }
   }
 
@@ -409,21 +469,23 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     phase.indir_flat = U32Buf(std::move(blk));
   }
 
-  // --- 6. Rewrite redirects through the renumbering map. Blocks whose
-  // redirects all keep their ids are left untouched — for a plan patched
-  // off a store-loaded base they stay zero-copy views into the mapping.
+  // --- 6. Rewrite redirects through the renumbering map, moved to the
+  // new first slot. Blocks whose redirects all keep their ids are left
+  // untouched — for a plan patched off a store-loaded base they stay
+  // zero-copy views into the mapping.
   for (PhaseSchedule& phase : result.phases) {
     const std::uint32_t* blk = phase.indir_flat.data();
     const std::size_t len = phase.indir_flat.size();
     std::size_t j = 0;
     while (j < len &&
            !(blk[j] >= n_elems &&
-             slot_map[blk[j] - n_elems] + n_elems != blk[j]))
+             new_slot0 + slot_map[blk[j] - old_slot0] != blk[j]))
       ++j;
     if (j == len) continue;
     std::span<std::uint32_t> wblk = phase.indir_flat.mutate();
     for (; j < len; ++j)
-      if (wblk[j] >= n_elems) wblk[j] = n_elems + slot_map[wblk[j] - n_elems];
+      if (wblk[j] >= n_elems)
+        wblk[j] = new_slot0 + slot_map[wblk[j] - old_slot0];
   }
 
   // --- 7. Regenerate the second loop in canonical slot order (the fresh
@@ -444,7 +506,7 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     }
     for (std::size_t s = 0; s < new_slot_elem.size(); ++s) {
       cd[fold_of[s]].push_back(new_slot_elem[s]);
-      cs[fold_of[s]].push_back(n_elems + static_cast<std::uint32_t>(s));
+      cs[fold_of[s]].push_back(new_slot0 + static_cast<std::uint32_t>(s));
     }
     for (std::size_t ph = 0; ph < result.phases.size(); ++ph) {
       PhaseSchedule& phase = result.phases[ph];
@@ -460,8 +522,8 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   result.slot_elem.clear();
   result.slot_elem.append(new_slot_elem);
   result.free_slots.clear();
-  result.local_array_size =
-      static_cast<std::uint64_t>(n_elems) + result.num_buffer_slots;
+  result.first_slot = first_slot;
+  result.local_array_size = array_size(sched, result);
   return result;
 }
 
@@ -488,7 +550,8 @@ InspectorResult update_light_inspector(
       ch.refs.push_back(iters.refs[r][c]);
     changes.push_back(std::move(ch));
   }
-  return update_light_inspector(sched, proc, previous, changes, opt);
+  return update_light_inspector(sched, proc, previous, changes,
+                                previous.first_slot, opt);
 }
 
 }  // namespace earthred::inspector

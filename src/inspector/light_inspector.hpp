@@ -12,7 +12,9 @@
 //   2. redirected indirection arrays per phase: a reference owned in the
 //      iteration's phase keeps its element index; a reference owned only
 //      in a later phase is redirected to a *remote buffer* slot appended
-//      past the reduction array (the paper's Figure 3 "location 8, 9, ...");
+//      past the reduction array (the paper's Figure 3 "location 8, 9, ...").
+//      A caller that lays several processors' slots into one array passes
+//      each processor the first slot of its own range;
 //   3. the per-phase second loop (copy1_out/copy2_out in Figure 3) that
 //      folds each buffer slot into its element during the phase in which
 //      the element is owned.
@@ -71,12 +73,13 @@ struct PhaseSchedule {
   /// reference slot r of the j-th iteration of this phase. Values <
   /// num_elements address the reduction array directly (always within
   /// the portion owned this phase for the reference that determined the
-  /// assignment); values >= num_elements address buffer slots. Batch
+  /// assignment); values >= num_elements address buffer slots (value
+  /// num_elements + first_slot + s is slot s of InspectorResult). Batch
   /// executors (core::PhaseView) stream the block as is. An empty phase
   /// has an empty block, which does not record the reference count.
   U32Buf indir_flat;
-  /// Second loop: element copy_dst[j] (owned this phase) accumulates
-  /// buffer slot copy_src[j] (>= num_elements).
+  /// Second loop: element copy_dst[j] (owned this phase) accumulates the
+  /// buffer slot at index copy_src[j] (>= num_elements + first_slot).
   U32Buf copy_dst;
   U32Buf copy_src;
 
@@ -91,15 +94,24 @@ struct PhaseSchedule {
 struct InspectorResult {
   std::vector<PhaseSchedule> phases;  ///< one per phase (k*P entries)
   std::uint32_t num_buffer_slots = 0;
-  /// num_elements + num_buffer_slots: required local array length.
+  /// Offset of this processor's slots past num_elements: its slots are
+  /// the array indices [num_elements + first_slot, num_elements +
+  /// first_slot + num_buffer_slots). 0 for a processor with an array of
+  /// its own; an ExecutionPlan numbers the processors' ranges back to
+  /// back, so they share one array.
+  std::uint32_t first_slot = 0;
+  /// num_elements + first_slot + num_buffer_slots: the array length this
+  /// processor's indices require.
   std::uint64_t local_array_size = 0;
 
   // --- bookkeeping consumed by update_light_inspector ------------------
   /// Phase each local iteration was assigned to.
   U32Buf assigned_phase;
-  /// Element a buffer slot folds into (slot -> element).
+  /// Element a buffer slot folds into (slot -> element; slots counted
+  /// from first_slot).
   U32Buf slot_elem;
-  /// Slots freed by incremental updates, available for reuse.
+  /// Slots freed by incremental updates, available for reuse (counted
+  /// from first_slot).
   U32Buf free_slots;
 
   /// Iterations per phase (load-balance analysis, Sec. 5.4.3).
@@ -108,14 +120,16 @@ struct InspectorResult {
   std::uint64_t total_deferred() const;
 };
 
-/// Runs the LightInspector for processor `proc`.
+/// Runs the LightInspector for processor `proc`, numbering its buffer
+/// slots from `first_slot` (0 reproduces the paper's Figure 3 numbering).
 ///
 /// Complexity: O(num_iterations * num_refs); no communication.
 /// Throws precondition_error on ragged refs or out-of-range elements.
 InspectorResult run_light_inspector(const RotationSchedule& sched,
                                     std::uint32_t proc,
                                     const IterationRefs& iters,
-                                    const LightInspectorOptions& opt = {});
+                                    const LightInspectorOptions& opt = {},
+                                    std::uint32_t first_slot = 0);
 
 /// One mutated iteration, in the sparse-update form: the incremental
 /// inspector only ever needs the *new* references of the iterations that
@@ -143,18 +157,23 @@ struct ChangedIteration {
 /// `previous` must be canonical — a fresh run or the output of a prior
 /// update (in particular free_slots must be empty); `changes` must be
 /// sorted by `local` with no duplicates, and every entry must carry one
-/// new reference value per reference slot of `previous`.
+/// new reference value per reference slot of `previous`. The result
+/// numbers its slots from `first_slot`, which may differ from
+/// previous.first_slot (an ExecutionPlan patch moves a processor's range
+/// when an earlier processor's slot count changes).
 InspectorResult update_light_inspector(const RotationSchedule& sched,
                                        std::uint32_t proc,
                                        const InspectorResult& previous,
                                        std::span<const ChangedIteration> changes,
+                                       std::uint32_t first_slot,
                                        const LightInspectorOptions& opt = {});
 
 /// Convenience overload taking the full (new) reference table: extracts
 /// the changed columns and forwards to the sparse form above.
 /// `changed_local` lists local iteration indices (into iters.global_iter)
 /// whose references differ from the run that produced `previous`; `iters`
-/// must contain the *new* references for all iterations.
+/// must contain the *new* references for all iterations. The result keeps
+/// previous.first_slot.
 InspectorResult update_light_inspector(const RotationSchedule& sched,
                                        std::uint32_t proc,
                                        const IterationRefs& iters,

@@ -104,23 +104,24 @@ ER_SWEEP_CLONES void budget_coverage_sums(const std::uint32_t* glob,
 
 struct RowSweep {
   std::uint32_t nin = 0;     ///< entries inside the owned window
-  std::uint32_t ndefer = 0;  ///< redirected entries (>= num_elements)
+  std::uint32_t ndefer = 0;  ///< entries at or past the first own slot
   std::uint32_t vmax = 0;    ///< row maximum
 };
 
 /// Budget per-row sweep: every entry is either inside the owned window or
-/// redirected (counted arithmetically), and the row maximum bounds
-/// redirected entries to live slot space.
+/// redirected into this processor's slot range (counted arithmetically,
+/// from its first slot `slot0`), and the row maximum bounds redirected
+/// entries to live slot space.
 ER_SWEEP_CLONES RowSweep budget_row_sweep(const std::uint32_t* row,
                                           std::size_t n,
                                           std::uint32_t owned_lo,
                                           std::uint32_t owned_size,
-                                          std::uint32_t n_elems) {
+                                          std::uint32_t slot0) {
   RowSweep out;
   for (std::size_t j = 0; j < n; ++j) {
     const std::uint32_t v = row[j];
     out.nin += v - owned_lo < owned_size;
-    out.ndefer += v >= n_elems;
+    out.ndefer += v >= slot0;
     out.vmax = v > out.vmax ? v : out.vmax;
   }
   return out;
@@ -134,15 +135,16 @@ struct FoldSweep {
   std::uint32_t dmax = 0;   ///< largest fold destination
 };
 
-/// Budget fold sweep: pairing sums over one phase's second-loop lists.
+/// Budget fold sweep: pairing sums over one phase's second-loop lists,
+/// slots counted from the processor's first slot index `slot0`.
 ER_SWEEP_CLONES FoldSweep budget_fold_sums(const std::uint32_t* cd,
                                            const std::uint32_t* cs,
                                            std::size_t m,
-                                           std::uint32_t n_elems,
+                                           std::uint32_t slot0,
                                            std::uint32_t ph) {
   FoldSweep out;
   for (std::size_t j = 0; j < m; ++j) {
-    const std::uint32_t slot = cs[j] - n_elems;  // wraps when not a slot
+    const std::uint32_t slot = cs[j] - slot0;  // wraps when not own slot
     const std::uint32_t dst = cd[j];
     out.s1 += slot;
     out.s2 += static_cast<std::uint64_t>(slot) * slot;
@@ -222,13 +224,23 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
              "proc " + std::to_string(proc) + ": slot_elem has " +
                  std::to_string(insp.slot_elem.size()) + " entries for " +
                  std::to_string(insp.num_buffer_slots) + " buffer slots");
-  if (insp.local_array_size !=
-      static_cast<std::uint64_t>(n_elems) + insp.num_buffer_slots)
+  // This processor's slots are the indices [slot0, slot0 + slot_cap).
+  const std::uint64_t slot_end = static_cast<std::uint64_t>(n_elems) +
+                                 insp.first_slot + insp.num_buffer_slots;
+  if (insp.local_array_size != slot_end)
     rep.fail("E-PLAN-SHAPE",
              "proc " + std::to_string(proc) + ": local_array_size " +
                  std::to_string(insp.local_array_size) + " != num_elements " +
-                 std::to_string(n_elems) + " + " +
+                 std::to_string(n_elems) + " + first slot " +
+                 std::to_string(insp.first_slot) + " + " +
                  std::to_string(insp.num_buffer_slots) + " slots");
+  if (slot_end > std::uint64_t{1} << 32) {
+    rep.fail("E-PLAN-SHAPE", "proc " + std::to_string(proc) +
+                                 ": buffer slot indices overflow 32 bits");
+    return;  // no slot index below can be formed
+  }
+  const std::uint32_t slot0 = n_elems + insp.first_slot;
+  const std::uint32_t slot_cap = insp.num_buffer_slots;
 
   // Free list: in-range, duplicate-free. freed[slot] marks slots no
   // reference or fold may touch; it is only materialized when something
@@ -371,25 +383,23 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
     const std::uint32_t owned = sched.owned_portion(proc, ph);
     const std::uint32_t owned_lo = sched.portion_begin(owned);
     const std::uint32_t owned_size = sched.portion_size(owned);
-    const std::uint32_t slot_cap = insp.num_buffer_slots;
     report.checked_refs += static_cast<std::uint64_t>(num_refs) * n;
     for (std::size_t r = 0; r < num_refs; ++r) {
       const std::uint32_t* row = phase.row(r).data();
       if (!exhaustive) {
         // One branchless sweep per row, touching each entry once.
         const RowSweep sw =
-            budget_row_sweep(row, n, owned_lo, owned_size, n_elems);
+            budget_row_sweep(row, n, owned_lo, owned_size, slot0);
         const std::uint32_t ndefer = sw.ndefer;
-        // Some direct reference outside the owned window:
+        // Some reference neither in the owned window nor in own slots:
         suspect |= sw.nin + ndefer != n;
-        suspect |= static_cast<std::uint64_t>(sw.vmax) >=
-                   static_cast<std::uint64_t>(n_elems) + slot_cap;
+        suspect |= static_cast<std::uint64_t>(sw.vmax) >= slot_end;
         if (ndefer && any_freed) {
           std::uint32_t nfreed = 0;
           for (std::size_t j = 0; j < n; ++j) {
             const std::uint32_t v = row[j];
-            const std::uint32_t slot = v - n_elems;  // wraps when direct
-            nfreed += (v >= n_elems) &
+            const std::uint32_t slot = v - slot0;  // wraps when direct
+            nfreed += (v >= slot0) &
                       static_cast<std::uint32_t>(
                           freed[slot < slot_cap ? slot : 0]);
           }
@@ -410,17 +420,16 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
                        std::to_string(owner_ph_of[v]) + ", not here");
           continue;
         }
-        const std::uint64_t slot64 = static_cast<std::uint64_t>(v) - n_elems;
-        if (slot64 >= slot_cap) {
+        if (v < slot0 || v - slot0 >= slot_cap) {
           rep.fail("E-PLAN-SLOT-RANGE",
                    at(proc, ph) + " ref " + std::to_string(r) + " iter " +
                        std::to_string(j) + ": redirected index " +
-                       std::to_string(v) + " addresses slot " +
-                       std::to_string(slot64) + " of " +
-                       std::to_string(slot_cap));
+                       std::to_string(v) + " is outside this processor's " +
+                       std::to_string(slot_cap) + " slots from index " +
+                       std::to_string(slot0));
           continue;
         }
-        const auto slot = static_cast<std::uint32_t>(slot64);
+        const std::uint32_t slot = v - slot0;
         if (freed[slot]) {
           rep.fail("E-PLAN-SLOT-FREED",
                    at(proc, ph) + " ref " + std::to_string(r) + " iter " +
@@ -452,7 +461,7 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
       // caveat; any mismatch reruns the exhaustive pass.
       const std::size_t m = phase.copy_dst.size();
       const FoldSweep fs = budget_fold_sums(
-          phase.copy_dst.data(), phase.copy_src.data(), m, n_elems, ph);
+          phase.copy_dst.data(), phase.copy_src.data(), m, slot0, ph);
       fold_cnt += m;
       fold_s1 += fs.s1;
       fold_s2 += fs.s2;
@@ -471,15 +480,14 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
                                    std::to_string(n_elems));
         continue;
       }
-      if (src < n_elems ||
-          static_cast<std::uint64_t>(src) - n_elems >=
-              insp.num_buffer_slots) {
+      if (src < slot0 || src - slot0 >= slot_cap) {
         rep.fail("E-PLAN-SLOT-RANGE",
                  at(proc, ph) + " fold " + std::to_string(j) + ": source " +
-                     std::to_string(src) + " is not a buffer slot");
+                     std::to_string(src) +
+                     " is not a buffer slot of this processor");
         continue;
       }
-      const std::uint32_t slot = src - n_elems;
+      const std::uint32_t slot = src - slot0;
       if (freed[slot]) {
         rep.fail("E-PLAN-SLOT-FREED",
                  at(proc, ph) + " fold " + std::to_string(j) + ": slot " +
@@ -561,6 +569,21 @@ PlanVerifyReport verify_plan(const RotationSchedule& sched,
                  " inspector results, schedule has " +
                  std::to_string(sched.num_procs()) + " processors");
     return report;
+  }
+
+  // The processors' slot ranges tile one array back to back: each starts
+  // where the previous one ends, so the phased executor's shared
+  // reduction array gives every slot exactly one writer.
+  std::uint64_t next_slot = 0;
+  for (std::uint32_t p = 0; p < insp.size(); ++p) {
+    if (insp[p].first_slot != next_slot)
+      rep.fail("E-PLAN-SLOT-OVERLAP",
+               "proc " + std::to_string(p) + ": buffer slots start at " +
+                   std::to_string(insp[p].first_slot) + ", not at " +
+                   std::to_string(next_slot) +
+                   ", where the earlier processors' slots end");
+    next_slot = static_cast<std::uint64_t>(insp[p].first_slot) +
+                insp[p].num_buffer_slots;
   }
 
   CoverageSums cov;

@@ -15,8 +15,9 @@
 //      rotation schedule (k>1 in-flight windows included — ownership is
 //      owning_phase(p, portion) == phase, which already encodes the
 //      k-phase transfer latency);
-//   3. a redirected reference addresses a live buffer slot whose element
-//      is owned only in a strictly later phase;
+//   3. a redirected reference addresses a live buffer slot of its own
+//      processor whose element is owned only in a strictly later phase,
+//      and the processors' slot ranges tile one array back to back;
 //   4. every live buffer slot is folded back exactly once, in the owning
 //      phase of its element, onto that element;
 //   5. the phase-assignment bookkeeping and all slot metadata agree with
@@ -33,7 +34,10 @@
 //   E-PLAN-PHASE-OWNER   direct reference to a portion not owned in-phase
 //   E-PLAN-EARLY-REF     redirected reference to an element already owned
 //                        (should have been direct)
-//   E-PLAN-SLOT-RANGE    buffer-slot index past num_buffer_slots
+//   E-PLAN-SLOT-RANGE    buffer-slot index outside the processor's own
+//                        slot range
+//   E-PLAN-SLOT-OVERLAP  processors' slot ranges overlap or leave a gap
+//                        (each must start where the previous one ends)
 //   E-PLAN-SLOT-FREED    reference or fold through a slot on the free list
 //   E-PLAN-NO-FOLD       live slot never folded back
 //   E-PLAN-DUP-FOLD      slot folded back more than once
@@ -61,13 +65,11 @@ namespace earthred::inspector {
 /// whenever an invariant is added, removed, or reinterpreted — old files
 /// then fail the header check (E-STORE-VERIFIER) and fall back to a
 /// rebuild instead of being trusted under rules they were never proven
-/// against. Revision 1 still stands: it covered a check (E-PLAN-FLAT,
-/// per-reference rows against their flattened copy) that has since gone
-/// with the rows, but that check could never fire on a loaded plan,
-/// whose rows were slices of the stored block, so no file is admitted or
-/// rejected differently.
+/// against. Revision 2 reads slot indices relative to each processor's
+/// first slot and adds E-PLAN-SLOT-OVERLAP (format v3's plan-wide slot
+/// numbering).
 inline constexpr std::uint64_t kPlanVerifierFingerprint =
-    0x45504c414e560001ull;  // "EPLANV" + revision 1
+    0x45504c414e560002ull;  // "EPLANV" + revision 2
 
 struct PlanVerifyOptions {
   /// Diagnostics recorded before the verifier stops describing individual

@@ -430,8 +430,8 @@ TEST(PlanMutation, FreedSlotStillReferencedIsCaught) {
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/false);
   ASSERT_TRUE(pos.found);
   auto& insp = mp.plan.insp[pos.p];
-  const std::uint32_t slot =
-      insp.phases[pos.ph].row(pos.r)[pos.j] - mp.plan.sched.num_elements();
+  const std::uint32_t slot = insp.phases[pos.ph].row(pos.r)[pos.j] -
+                            mp.plan.sched.num_elements() - insp.first_slot;
   insp.free_slots.push_back(slot);
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
@@ -533,8 +533,8 @@ TEST(PlanMutation, EarlyOwnedBufferedElementIsCaught) {
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/false);
   ASSERT_TRUE(pos.found);
   auto& insp = mp.plan.insp[pos.p];
-  const std::uint32_t slot =
-      insp.phases[pos.ph].row(pos.r)[pos.j] - mp.plan.sched.num_elements();
+  const std::uint32_t slot = insp.phases[pos.ph].row(pos.r)[pos.j] -
+                            mp.plan.sched.num_elements() - insp.first_slot;
   // Rebind the slot to an element owned in phase <= pos.ph: the portion
   // this proc owns during the deferring phase itself qualifies.
   const std::uint32_t early_portion =
@@ -543,6 +543,49 @@ TEST(PlanMutation, EarlyOwnedBufferedElementIsCaught) {
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-EARLY-REF")) << report.render();
+}
+
+TEST(PlanMutation, OverlappingSlotRangesAreCaught) {
+  // Processor 1's whole slot range moved down by one, consistently, so
+  // its own tables still agree: its first slot is processor 0's last.
+  MutablePlan mp = make_plan();
+  const std::uint32_t n = mp.plan.sched.num_elements();
+  auto& insp = mp.plan.insp[1];
+  ASSERT_GT(insp.first_slot, 0u);
+  ASSERT_GT(insp.num_buffer_slots, 0u);
+  for (auto& phase : insp.phases) {
+    for (std::uint32_t& v : phase.indir_flat.mutate())
+      if (v >= n) --v;
+    for (std::uint32_t& v : phase.copy_src.mutate()) --v;
+  }
+  --insp.first_slot;
+  --insp.local_array_size;
+  const inspector::PlanVerifyReport report = mp.verify();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, "E-PLAN-SLOT-OVERLAP")) << report.render();
+}
+
+TEST(PlanMutation, ReferenceIntoAnotherProcessorsSlotsIsCaught) {
+  // A redirect of processor 1 pointed at processor 0's last slot: inside
+  // the shared array, outside its own range.
+  MutablePlan mp = make_plan();
+  const std::uint32_t n = mp.plan.sched.num_elements();
+  auto& insp = mp.plan.insp[1];
+  ASSERT_GT(insp.first_slot, 0u);
+  bool mutated = false;
+  for (auto& phase : insp.phases) {
+    for (std::uint32_t& v : phase.indir_flat.mutate())
+      if (v >= n) {
+        v = n + insp.first_slot - 1;
+        mutated = true;
+        break;
+      }
+    if (mutated) break;
+  }
+  ASSERT_TRUE(mutated);
+  const inspector::PlanVerifyReport report = mp.verify();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, "E-PLAN-SLOT-RANGE")) << report.render();
 }
 
 TEST(PlanMutation, CorruptPhaseAssignmentIsCaught) {

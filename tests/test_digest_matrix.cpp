@@ -3,7 +3,10 @@
 // per-edge and pinned. The three run modes and the two layouts must agree
 // bit for bit on every line, and fig1/moldyn must reproduce the digests
 // pinned below, so a change to how the executors set up or run a sweep
-// cannot move a single result bit unnoticed.
+// cannot move a single result bit unnoticed. Extra rows beyond the full
+// matrix cover an even sweep count (the phased executor then returns the
+// other node-read buffer), three processors, deduplicated buffer slots
+// and a tiled layout=rcm plan.
 //
 // euler's initial state goes through std::exp, whose last bit depends on
 // the host's libm, so euler lines assert equality across configurations
@@ -60,23 +63,19 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-/// Runs one matrix line in all three modes and both layouts, asserts they
-/// agree, and returns the common digest (0 after a failed assertion).
-std::uint64_t line_digest(const PhasedKernel& kernel, StrategyKind strategy,
-                          inspector::Distribution dist, std::uint32_t k,
-                          const std::string& what) {
+/// Runs one line — `base` under both layouts, each in all three modes —
+/// asserts they agree, and returns the common digest (0 after a failed
+/// assertion).
+std::uint64_t line_digest(const PhasedKernel& kernel, PlanOptions base,
+                          std::uint32_t sweeps, const std::string& what) {
   std::uint64_t common = 0;
   for (const LayoutKind layout : {LayoutKind::None, LayoutKind::Rcm}) {
-    PlanOptions popt;
-    popt.num_procs = kProcs;
-    popt.k = k;
-    popt.distribution = dist;
-    popt.strategy = strategy;
+    PlanOptions popt = base;
     popt.layout = layout;
     const ExecutionPlan plan = build_execution_plan(kernel, popt);
 
     SweepOptions batched;
-    batched.sweeps = kSweeps;
+    batched.sweeps = sweeps;
     SweepOptions per_edge = batched;
     per_edge.batch = false;
     SweepOptions pinned = batched;
@@ -89,7 +88,7 @@ std::uint64_t line_digest(const PhasedKernel& kernel, StrategyKind strategy,
           {"per-edge", per_edge},
           {"pinned", pinned}}) {
       const NativeResult r = run_native_plan(kernel, plan, sopt);
-      EXPECT_EQ(r.strategy, strategy) << at << " " << mode;
+      EXPECT_EQ(r.strategy, base.strategy) << at << " " << mode;
       const std::uint64_t d = service::result_digest(r);
       if (common == 0) common = d;
       EXPECT_EQ(hex(d), hex(common)) << at << " " << mode;
@@ -109,12 +108,76 @@ void check_matrix(const PhasedKernel& kernel, const std::string& name,
             (kDists[d] == inspector::Distribution::Block ? "block"
                                                          : "cyclic") +
             " k=" + std::to_string(k);
-        const std::uint64_t got =
-            line_digest(kernel, kStrategies[s], kDists[d], k, what);
+        PlanOptions popt;
+        popt.num_procs = kProcs;
+        popt.k = k;
+        popt.distribution = kDists[d];
+        popt.strategy = kStrategies[s];
+        const std::uint64_t got = line_digest(kernel, popt, kSweeps, what);
         if (golden != nullptr) {
           EXPECT_EQ(hex(got), hex((*golden)[s][d][k - 1])) << what;
         }
       }
+}
+
+/// One row outside the full matrix; `fig1`/`moldyn` are its pinned
+/// digests. The rcm plans of these rows use a 64-iteration tile, so the
+/// tiled batch loops run too.
+struct ExtraRow {
+  std::uint32_t procs;
+  std::uint32_t sweeps;
+  StrategyKind strategy;
+  inspector::Distribution dist;
+  std::uint32_t k;
+  bool dedup;
+  std::uint64_t fig1;
+  std::uint64_t moldyn;
+};
+
+constexpr auto kBlock = inspector::Distribution::Block;
+constexpr auto kCyclic = inspector::Distribution::Cyclic;
+constexpr auto kPhased = StrategyKind::Phased;
+constexpr auto kPrivatized = StrategyKind::Privatized;
+
+/// fig1's integer sums are exact, so every row reproduces the matrix's
+/// single fig1 digest.
+constexpr std::uint64_t kFig1Digest = 0x05d1c024b38ac014ull;
+
+// clang-format off
+constexpr ExtraRow kExtraRows[] = {
+    {4, 2, kPhased,     kCyclic, 2, false, kFig1Digest, 0x677e7bf0b4e81b01ull},
+    {4, 2, kPhased,     kBlock,  3, false, kFig1Digest, 0x39874e38a2c971a2ull},
+    {3, 3, kPhased,     kCyclic, 1, false, kFig1Digest, 0x8e7c181cf099d6c0ull},
+    {3, 3, kPhased,     kBlock,  2, false, kFig1Digest, 0xcd95212009c42beaull},
+    {3, 2, kPhased,     kCyclic, 3, false, kFig1Digest, 0x1e673be13881257bull},
+    {4, 3, kPhased,     kCyclic, 2, true,  kFig1Digest, 0x95a8ca14c22ae9aaull},
+    {3, 2, kPhased,     kBlock,  2, true,  kFig1Digest, 0xfd8e99fdf4fee976ull},
+    {3, 2, kPrivatized, kCyclic, 2, false, kFig1Digest, 0x38bd2065eddd5586ull},
+    {4, 2, kPrivatized, kBlock,  1, false, kFig1Digest, 0x3ed96678c27ff844ull},
+};
+// clang-format on
+
+void check_extra_rows(const PhasedKernel& kernel, const std::string& name,
+                      std::uint64_t ExtraRow::*golden) {
+  for (const ExtraRow& row : kExtraRows) {
+    PlanOptions popt;
+    popt.num_procs = row.procs;
+    popt.k = row.k;
+    popt.distribution = row.dist;
+    popt.strategy = row.strategy;
+    popt.inspector.dedup_buffers = row.dedup;
+    popt.layout_tile_iters = 64;
+    const std::string what =
+        name + " P=" + std::to_string(row.procs) +
+        " sweeps=" + std::to_string(row.sweeps) +
+        " strategy=" + std::string(to_string(row.strategy)) +
+        " dist=" + (row.dist == kBlock ? "block" : "cyclic") +
+        " k=" + std::to_string(row.k) + " dedup=" + std::to_string(row.dedup);
+    const std::uint64_t got = line_digest(kernel, popt, row.sweeps, what);
+    if (golden != nullptr) {
+      EXPECT_EQ(hex(got), hex(row.*golden)) << what;
+    }
+  }
 }
 
 TEST(DigestMatrix, Fig1MatchesGoldenDigests) {
@@ -133,6 +196,17 @@ TEST(DigestMatrix, EulerAgreesAcrossModesAndLayouts) {
   const kernels::EulerKernel kernel(
       mesh::make_geometric_mesh({500, 3000, 8}));
   check_matrix(kernel, "euler", nullptr);
+}
+
+TEST(DigestMatrix, ExtraRowsMatchGoldenDigests) {
+  const auto fig1 = kernels::Fig1Kernel::with_integer_values(
+      mesh::make_geometric_mesh({400, 2400, 21}));
+  check_extra_rows(fig1, "fig1", &ExtraRow::fig1);
+  const kernels::MoldynKernel moldyn(
+      mesh::make_moldyn_lattice({4, 1500, 0.03, 2}));
+  check_extra_rows(moldyn, "moldyn", &ExtraRow::moldyn);
+  const kernels::EulerKernel euler(mesh::make_geometric_mesh({500, 3000, 8}));
+  check_extra_rows(euler, "euler", nullptr);
 }
 
 }  // namespace

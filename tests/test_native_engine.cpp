@@ -6,12 +6,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "core/native_engine.hpp"
 #include "core/sequential.hpp"
+#include "heap_tracking.hpp"
 #include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
 #include "kernels/moldyn.hpp"
@@ -180,12 +183,13 @@ struct InjectedFault : std::runtime_error {
 };
 
 /// A real kernel that throws on one worker thread: from its compute
-/// paths on processor `bad`, or from the `bad`-th (0-based) of the P
-/// init_node_arrays calls a run makes, one per worker while it builds its
-/// per-run state.
+/// paths on processor `bad`, or from the `bad`-th (0-based)
+/// init_node_arrays or update_nodes call of a run. It counts its
+/// init_node_arrays calls either way; a renumbered clone (a layout plan's
+/// run) counts on the same counters.
 class FaultyKernel final : public PhasedKernel {
  public:
-  enum class Where { Compute, Init };
+  enum class Where { Compute, Init, Update };
 
   FaultyKernel(std::unique_ptr<PhasedKernel> inner, std::uint32_t bad,
                Where where = Where::Compute)
@@ -197,11 +201,12 @@ class FaultyKernel final : public PhasedKernel {
   }
   void init_node_arrays(
       std::vector<std::vector<double>>& arrays) const override {
-    if (where_ == Where::Init && init_calls_.fetch_add(1) == bad_)
+    if (calls_->init.fetch_add(1) == bad_ && where_ == Where::Init)
       throw InjectedFault("injected init fault on call " +
                           std::to_string(bad_));
     inner_->init_node_arrays(arrays);
   }
+  std::uint32_t init_calls() const { return calls_->init.load(); }
   void compute_edge(earth::FiberContext& ctx, const CostTags& tags,
                     std::uint64_t edge_global, std::uint64_t edge_slot,
                     std::span<const std::uint32_t> redirected,
@@ -219,13 +224,19 @@ class FaultyKernel final : public PhasedKernel {
   void update_nodes(earth::FiberContext& ctx, const CostTags& tags,
                     std::uint32_t begin, std::uint32_t end,
                     std::uint32_t base, ProcArrays& arrays) const override {
+    if (where_ == Where::Update && calls_->update.fetch_add(1) == bad_)
+      throw InjectedFault("injected update fault on call " +
+                          std::to_string(bad_));
     inner_->update_nodes(ctx, tags, begin, end, base, arrays);
   }
   std::unique_ptr<PhasedKernel> clone_renumbered(
       std::span<const std::uint32_t> perm) const override {
     std::unique_ptr<PhasedKernel> inner = inner_->clone_renumbered(perm);
     if (!inner) return nullptr;
-    return std::make_unique<FaultyKernel>(std::move(inner), bad_, where_);
+    auto clone =
+        std::make_unique<FaultyKernel>(std::move(inner), bad_, where_);
+    clone->calls_ = calls_;
+    return clone;
   }
 
  private:
@@ -238,7 +249,11 @@ class FaultyKernel final : public PhasedKernel {
   std::unique_ptr<PhasedKernel> inner_;
   std::uint32_t bad_;
   Where where_;
-  mutable std::atomic<std::uint32_t> init_calls_{0};
+  struct Calls {
+    std::atomic<std::uint32_t> init{0};
+    std::atomic<std::uint32_t> update{0};
+  };
+  std::shared_ptr<Calls> calls_ = std::make_shared<Calls>();
 };
 
 /// Runs `opt` on `kernel`, expecting the injected fault to reach the
@@ -283,29 +298,94 @@ TEST(NativeEngine, WorkerExceptionStopsTheTeamAndReachesTheCaller) {
   }
 }
 
+NativeOptions fault_options(StrategyKind strategy) {
+  NativeOptions opt;
+  opt.plan.num_procs = 4;
+  opt.plan.k = 2;
+  opt.plan.strategy = strategy;
+  opt.sweep.sweeps = 3;
+  opt.sweep.stall_timeout = 0.0;
+  return opt;
+}
+
+FaultyKernel faulty_euler(std::uint32_t bad, FaultyKernel::Where where) {
+  return FaultyKernel(std::make_unique<kernels::EulerKernel>(
+                          mesh::make_geometric_mesh({160, 700, 8})),
+                      bad, where);
+}
+
 TEST(NativeEngine, InitFaultOnOneWorkerReachesTheCaller) {
-  // Each worker builds its own per-run state before the team barrier. A
-  // fault there must release the workers already waiting at the barrier
-  // and reach the caller as the original exception, also with unbounded
-  // waits (stall_timeout = 0). Every one of the P init calls is tried.
-  for (const StrategyKind strategy :
-       {StrategyKind::Phased, StrategyKind::Privatized}) {
-    for (std::uint32_t bad = 0; bad < 4; ++bad) {
-      const FaultyKernel kernel(
-          std::make_unique<kernels::EulerKernel>(
-              mesh::make_geometric_mesh({160, 700, 8})),
-          bad, FaultyKernel::Where::Init);
-      NativeOptions opt;
-      opt.plan.num_procs = 4;
-      opt.plan.k = 2;
-      opt.plan.strategy = strategy;
-      opt.sweep.sweeps = 3;
-      opt.sweep.stall_timeout = 0.0;
-      expect_fault_reaches_caller(kernel, opt,
-                                  std::string(to_string(strategy)) +
-                                      " init call " + std::to_string(bad));
-    }
+  // The workers build the per-run state before the team barrier. A fault
+  // there must release the workers already waiting at the barrier and
+  // reach the caller as the original exception, also with unbounded
+  // waits (stall_timeout = 0). The phased executor sets up its one set of
+  // node-read values with exactly one init call per run, which is the one
+  // faulted; the privatized executor makes one per worker replica, and
+  // every one of its P calls is tried.
+  {
+    const FaultyKernel counting =
+        faulty_euler(/*bad=*/1000, FaultyKernel::Where::Init);
+    run_native_engine(counting, fault_options(StrategyKind::Phased));
+    EXPECT_EQ(counting.init_calls(), 1u);
   }
+  expect_fault_reaches_caller(faulty_euler(0, FaultyKernel::Where::Init),
+                              fault_options(StrategyKind::Phased),
+                              "phased init call 0");
+  for (std::uint32_t bad = 0; bad < 4; ++bad)
+    expect_fault_reaches_caller(faulty_euler(bad, FaultyKernel::Where::Init),
+                                fault_options(StrategyKind::Privatized),
+                                "privatized init call " + std::to_string(bad));
+}
+
+TEST(NativeEngine, UpdateFaultUnblocksPublishWaits) {
+  // The first update_nodes call of sweep 1: every sweep-0 update
+  // precedes it, because each is published before any worker starts
+  // sweep 1. The faulting worker never publishes its portion, so the
+  // others block on its publish token at the sweep-2 boundary; with
+  // unbounded waits only the team's stop can release them.
+  const NativeOptions opt = fault_options(StrategyKind::Phased);
+  const std::uint32_t sweep1_first = opt.plan.num_procs * opt.plan.k;
+  expect_fault_reaches_caller(
+      faulty_euler(sweep1_first, FaultyKernel::Where::Update), opt,
+      "phased update call " + std::to_string(sweep1_first));
+}
+
+TEST(NativeEngine, PhasedRunAllocatesOneSetOfArrays) {
+  // One phased run holds one reduction array per kernel array, extended
+  // by every worker's buffer slots, and two node-read buffers — nothing
+  // per worker that grows with the mesh. The plan carries no layout (a
+  // layout run adds a renumbered kernel clone and the result
+  // un-permutation), also when EARTHRED_FORCE_LAYOUT asks for one.
+  const char* forced = std::getenv("EARTHRED_FORCE_LAYOUT");
+  const std::string saved = forced ? forced : "";
+  ::unsetenv("EARTHRED_FORCE_LAYOUT");
+  const kernels::EulerKernel kernel(
+      mesh::make_geometric_mesh({20000, 80000, 8}));
+  PlanOptions popt;
+  popt.num_procs = 4;
+  popt.k = 2;
+  popt.strategy = StrategyKind::Phased;
+  const ExecutionPlan plan = build_execution_plan(kernel, popt);
+  if (forced) ::setenv("EARTHRED_FORCE_LAYOUT", saved.c_str(), 1);
+  ASSERT_TRUE(plan.perm.empty());
+  const KernelShape shape = kernel.shape();
+  const std::uint64_t red_len = plan.insp.back().local_array_size;
+  ASSERT_GT(red_len, shape.num_nodes);  // the mesh needs buffer slots
+  const double arrays_bytes =
+      8.0 * (static_cast<double>(shape.num_reduction_arrays) * red_len +
+             2.0 * shape.num_node_read_arrays * shape.num_nodes);
+
+  SweepOptions sopt;
+  sopt.sweeps = 2;
+  std::size_t allocated = 0;
+  {
+    const test::HeapTracking heap;
+    const NativeResult r = run_native_plan(kernel, plan, sopt);
+    allocated = heap.total();
+    EXPECT_EQ(r.strategy, StrategyKind::Phased);
+  }
+  EXPECT_LE(static_cast<double>(allocated), 1.1 * arrays_bytes)
+      << "arrays need " << arrays_bytes << " bytes";
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // one-slot-per-reference buffers and with deduplicated ones, plus the
 // bytes of one patched plan built from an in-memory base and one from a
 // store-loaded base. A change to how plans are built, patched, stored or
-// loaded cannot move a single byte of a plan file unnoticed.
+// loaded cannot move a single byte of a plan file unnoticed. A plan
+// numbers the processors' buffer slots back to back; with each
+// processor's offset taken off, it is the paper's per-processor
+// LightInspector output.
 //
 // Plans depend only on the mesh (never on floating-point values), so
 // every line — euler's included — is host-independent. The layout tile
@@ -22,6 +25,8 @@
 
 #include "core/native_engine.hpp"
 #include "core/plan_io.hpp"
+#include "inspector/distribution.hpp"
+#include "inspector/light_inspector.hpp"
 #include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
 #include "kernels/moldyn.hpp"
@@ -105,17 +110,17 @@ struct GoldenLine {
 
 // clang-format off
 constexpr GoldenLine kBuilt[] = {
-    {"fig1",   LayoutKind::None, false, 0x1d1ee4b9c4a32811ull},
-    {"fig1",   LayoutKind::Rcm,  false, 0xdf052760123cd72cull},
-    {"fig1",   LayoutKind::None, true,  0x5289bfed3238c461ull},
-    {"euler",  LayoutKind::None, false, 0x9c4cfe4cf7ecdae4ull},
-    {"euler",  LayoutKind::Rcm,  false, 0x83cb2de7c4213f87ull},
-    {"euler",  LayoutKind::None, true,  0xeb8a32e17499e539ull},
-    {"moldyn", LayoutKind::None, false, 0xb11f03807a826aebull},
-    {"moldyn", LayoutKind::Rcm,  false, 0x6d32237fe422000bull},
-    {"moldyn", LayoutKind::None, true,  0x68233016a8c3abb0ull},
+    {"fig1",   LayoutKind::None, false, 0x55745b7008bd3ee1ull},
+    {"fig1",   LayoutKind::Rcm,  false, 0x273a05192474fe06ull},
+    {"fig1",   LayoutKind::None, true,  0xb6ad0e1087d94c05ull},
+    {"euler",  LayoutKind::None, false, 0xafec820b2b7ab50eull},
+    {"euler",  LayoutKind::Rcm,  false, 0x948490254bb4b27aull},
+    {"euler",  LayoutKind::None, true,  0xa4ed5b2f1a439b9cull},
+    {"moldyn", LayoutKind::None, false, 0x8e9e3ed613549af7ull},
+    {"moldyn", LayoutKind::Rcm,  false, 0x12d2414ecca4cd06ull},
+    {"moldyn", LayoutKind::None, true,  0xd3bb80852cde3a90ull},
 };
-constexpr std::uint64_t kPatchedEuler = 0xa8c6fbefb8234fb8ull;
+constexpr std::uint64_t kPatchedEuler = 0xae7d576b946830f4ull;
 // clang-format on
 
 TEST(PlanGolden, BuiltPlanFilesMatchGoldenHashes) {
@@ -127,6 +132,56 @@ TEST(PlanGolden, BuiltPlanFilesMatchGoldenHashes) {
     EXPECT_EQ(hex(file_hash(plan)), hex(line.hash))
         << line.kernel << " layout=" << to_string(line.layout)
         << " dedup=" << line.dedup;
+  }
+}
+
+/// `plan` with every processor's slots renumbered from 0: its offset
+/// taken off each slot index of the blocks and fold sources.
+ExecutionPlan slots_from_zero(const ExecutionPlan& plan) {
+  ExecutionPlan out = plan;
+  const std::uint32_t n = plan.sched.num_elements();
+  for (inspector::InspectorResult& insp : out.insp) {
+    for (inspector::PhaseSchedule& ph : insp.phases) {
+      for (std::uint32_t& v : ph.indir_flat.mutate())
+        if (v >= n) v -= insp.first_slot;
+      for (std::uint32_t& v : ph.copy_src.mutate()) v -= insp.first_slot;
+    }
+    insp.local_array_size -= insp.first_slot;
+    insp.first_slot = 0;
+  }
+  return out;
+}
+
+TEST(PlanGolden, OffsetFreeSlotsReproduceTheLightInspector) {
+  // The layout pass reorders each phase after the inspector has run, so
+  // only the layout=none lines have a plain inspector run to compare to.
+  const LayoutEnvGuard env;
+  for (const GoldenLine& line : kBuilt) {
+    if (line.layout != LayoutKind::None) continue;
+    const auto kernel = kernel_for(line.kernel, mesh_for(line.kernel));
+    const PlanOptions opt = golden_options(line.layout, line.dedup);
+    const ExecutionPlan plan = build_execution_plan(*kernel, opt);
+
+    ExecutionPlan paper = plan;
+    const KernelShape shape = kernel->shape();
+    auto owned = inspector::distribute_iterations(
+        shape.num_edges, opt.num_procs, opt.distribution,
+        opt.block_cyclic_size);
+    std::uint32_t next_slot = 0;
+    for (std::uint32_t p = 0; p < opt.num_procs; ++p) {
+      inspector::IterationRefs refs;
+      refs.global_iter = std::move(owned[p]);
+      refs.refs.resize(shape.num_refs);
+      for (std::uint32_t r = 0; r < shape.num_refs; ++r)
+        for (const std::uint32_t e : refs.global_iter)
+          refs.refs[r].push_back(kernel->ref(r, e));
+      paper.insp[p] = inspector::run_light_inspector(plan.sched, p, refs,
+                                                     opt.inspector);
+      EXPECT_EQ(plan.insp[p].first_slot, next_slot) << line.kernel << p;
+      next_slot += paper.insp[p].num_buffer_slots;
+    }
+    EXPECT_TRUE(plans_bit_identical(slots_from_zero(plan), paper))
+        << line.kernel << " dedup=" << line.dedup;
   }
 }
 

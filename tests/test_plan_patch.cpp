@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/native_engine.hpp"
@@ -21,6 +23,7 @@
 #include "kernels/fig1.hpp"
 #include "kernels/moldyn.hpp"
 #include "mesh/generators.hpp"
+#include "scratch_dir.hpp"
 #include "service/job_builder.hpp"
 #include "service/plan_cache.hpp"
 #include "support/check.hpp"
@@ -127,6 +130,62 @@ TEST(PlanPatch, BitIdenticalToRebuildAcrossConfigurations) {
       }
     }
   }
+}
+
+// A plan numbers the processors' buffer slots back to back, so a patch
+// that changes one processor's slot count must move the ranges of every
+// later processor — also when the base's arrays are views into a loaded
+// plan file.
+TEST(PlanPatch, SlotCountChangeMovesLaterRangesFromBuiltAndLoadedBases) {
+  const mesh::Mesh base_mesh = mesh_for("fig1");
+  const auto kernel = kernel_for("fig1", base_mesh);
+  core::PlanOptions opt;
+  opt.num_procs = 4;
+  opt.k = 2;
+  opt.distribution = Distribution::Cyclic;
+  const core::ExecutionPlan base = core::build_execution_plan(*kernel, opt);
+  const inspector::RotationSchedule& sched = base.sched;
+
+  // Rewire edge 1 (processor 1's first under cyclic) so that it defers
+  // one reference more or one fewer: its far end moves into the portion
+  // of its near end, or out of it.
+  const std::uint32_t e = 1;
+  mesh::Mesh mutated_mesh = base_mesh;
+  mesh::Edge& edge = mutated_mesh.edges[e];
+  const std::uint32_t near_portion = sched.portion_of(edge.a);
+  const std::uint32_t begin = sched.portion_begin(near_portion);
+  if (sched.portion_of(edge.b) != near_portion)
+    edge.b = edge.a == begin ? begin + 1 : begin;
+  else
+    edge.b = sched.portion_begin((near_portion + 1) % sched.num_portions());
+  const auto mutated = kernel_for("fig1", std::move(mutated_mesh));
+  const std::vector<std::uint32_t> changed = {e};
+
+  const core::ExecutionPlan rebuilt =
+      core::build_execution_plan(*mutated, opt);
+  ASSERT_NE(rebuilt.insp[1].num_buffer_slots, base.insp[1].num_buffer_slots);
+  ASSERT_NE(rebuilt.insp[2].first_slot, base.insp[2].first_slot);
+
+  const core::ExecutionPlan from_built =
+      core::patch_execution_plan(*mutated, base, changed);
+  EXPECT_TRUE(core::plans_bit_identical(from_built, rebuilt));
+  expect_exhaustive_clean(from_built);
+
+  const test::ScratchDir dir;
+  const std::string path = dir.file("base.plan");
+  {
+    const std::vector<std::byte> bytes = core::serialize_plan(base, 1);
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  const core::PlanLoadResult loaded = core::load_plan_file(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error_code << ": " << loaded.detail;
+  const core::ExecutionPlan from_loaded =
+      core::patch_execution_plan(*mutated, *loaded.plan, changed);
+  EXPECT_TRUE(core::plans_bit_identical(from_loaded, rebuilt));
+  expect_exhaustive_clean(from_loaded);
 }
 
 TEST(PlanPatch, EmptyChangeSetReproducesTheBasePlan) {
